@@ -22,7 +22,7 @@ __all__ = [
     "PPOConfig", "SACConfig", "NumericalError", "compute_gae",
     "clipped_surrogate_grad", "PPOAgent", "SACAgent", "ReplayBuffer",
     "GreedyPolicy", "FixedIntervalPolicy", "TrainResult", "EvalResult",
-    "train", "evaluate",
+    "train", "rollout", "evaluate",
 ]
 
 _SMOOTH_WINDOW = 20
@@ -116,17 +116,25 @@ def clipped_surrogate_grad(ratios, advantages, clip_epsilon: float):
 
 
 class GreedyPolicy:
-    """Argmax over the actor's action probabilities."""
+    """Argmax over the actor's action probabilities.
+
+    ``action`` takes one observation (obs_dim,) and returns an int, or a
+    batch (replications, obs_dim) and returns one action per row.
+    """
 
     def __init__(self, net: DenseNet):
         self.net = net
 
-    def action(self, observation) -> int:
-        return int(np.argmax(self.net.forward(observation)))
+    def action(self, observation):
+        a = np.argmax(self.net.forward(observation), axis=-1)
+        return int(a) if a.ndim == 0 else a
 
 
 class FixedIntervalPolicy:
-    """Clean on the morning the days-since-clean counter reaches z."""
+    """Clean on the morning the days-since-clean counter reaches z.
+
+    Takes the same observation shapes as :class:`GreedyPolicy`.
+    """
 
     def __init__(self, z: int, config: ScenarioConfig):
         if z < 1:
@@ -137,9 +145,10 @@ class FixedIntervalPolicy:
         else:
             self._scale = 10.0
 
-    def action(self, observation) -> int:
-        days = int(round(float(observation[1]) * self._scale))
-        return 1 if days >= self.z else 0
+    def action(self, observation):
+        days = np.rint(np.asarray(observation)[..., 1] * self._scale)
+        a = (days >= self.z).astype(np.int64)
+        return int(a) if a.ndim == 0 else a
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +464,36 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
                        best, episodes, seed, loss_history)
 
 
-def evaluate(policy, env_config: ScenarioConfig, episodes: int = 30,
-             mode: str = "greedy") -> EvalResult:
+def rollout(policy, env: CleaningEnv, seed, on_step=None) -> CleaningEnv:
+    """Play ``policy`` through the episode(s) ``env.reset(seed)`` starts.
+
+    With a list of seeds all replications run in lockstep: each day makes
+    one batched ``policy.action`` call and one ``env.step``.
+    ``on_step(observation, actions, step_result)`` sees every day.  Returns
+    ``env`` holding the finished episodes' totals.
+    """
+    obs = env.reset(seed)
+    while not env.done:
+        actions = policy.action(obs)
+        res = env.step(actions)
+        if on_step is not None:
+            on_step(obs, actions, res)
+        obs = res.observation
+    return env
+
+
+def evaluate(policy, env_config: ScenarioConfig, episodes: int = 30) -> EvalResult:
     """Mean total cost and cleanings of ``policy`` over seeded episodes.
 
     Episode r uses the replication sub-seed (seed, replication-tag, r) —
     the same seeds as :func:`pvclean.simopt.evaluate_interval`, and
     disjoint from the training seeds.
     """
-    if mode != "greedy":
-        raise ValueError(f"only greedy evaluation is supported, got {mode!r}")
-    env = CleaningEnv(env_config)
-    costs, cleanings = [], []
-    for r in range(episodes):
-        obs = env.reset(replication_entropy(env_config.seed, r))
-        done = False
-        while not done:
-            res = env.step(policy.action(obs))
-            obs = res.observation
-            done = res.done
-        costs.append(env.cumulative_cost)
-        cleanings.append(env.cumulative_cleanings)
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    env = rollout(policy, CleaningEnv(env_config),
+                  [replication_entropy(env_config.seed, r) for r in range(episodes)])
+    costs = env.cumulative_cost.tolist()
+    cleanings = env.cumulative_cleanings.tolist()
     return EvalResult(float(np.mean(costs)), float(np.mean(cleanings)),
                       costs, cleanings)

@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import agents, simopt
-from .environment import PRESETS, ConfigError, ScenarioConfig, load_config, preset
+from .environment import (PRESETS, CleaningEnv, ConfigError, ScenarioConfig,
+                          load_config, preset)
 from .nn import load_net, save_net
+from .rng import replication_entropy
 
 __all__ = ["main"]
 
@@ -145,44 +147,31 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_TRACE_INFO = ("temperature", "wind_speed", "particulate_matter", "irradiance",
+               "relative_humidity", "soiling", "efficiency", "energy_loss_cost",
+               "cleaning_cost_incurred")
+
+
 def cmd_trace(args) -> int:
     cfg = _scenario(args)
     out = _out_dir(args)
     policy = _load_policy(args.policy, cfg)
-    from .environment import CleaningEnv
-    from .rng import replication_entropy
-
-    env = CleaningEnv(cfg)
-    obs = env.reset(replication_entropy(cfg.seed, 0))
     rows = []
+
+    def record(obs, actions, res):
+        # A batch of one replication: row 0 of every array.
+        rows.append((res.info["day"], int(actions[0]), *[float(v) for v in obs[0]],
+                     *[float(res.info[k][0]) for k in _TRACE_INFO]))
+
+    agents.rollout(policy, CleaningEnv(cfg), [replication_entropy(cfg.seed, 0)], record)
     obs_names = ["obs_deposition", "obs_days_since_clean", "obs_temperature",
                  "obs_wind_speed", "obs_particulate_matter", "obs_irradiance"]
     if cfg.include_humidity:
         obs_names.append("obs_relative_humidity")
-    done = False
-    while not done:
-        a = policy.action(obs)
-        pre_obs = obs
-        res = env.step(a)
-        info = res.info
-        rows.append((
-            info["day"], a,
-            *[float(v) for v in pre_obs],
-            info["temperature"], info["wind_speed"], info["particulate_matter"],
-            info["irradiance"], info["relative_humidity"],
-            info["soiling"], info["efficiency"],
-            info["energy_loss_cost"], info["cleaning_cost_incurred"],
-        ))
-        obs = res.observation
-        done = res.done
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy})
     _write_csv(out / f"{label}_trace.csv", header,
-               ["day", "action", *obs_names,
-                "temperature", "wind_speed", "particulate_matter", "irradiance",
-                "relative_humidity", "soiling", "efficiency",
-                "energy_loss_cost", "cleaning_cost_incurred"],
-               rows)
+               ["day", "action", *obs_names, *_TRACE_INFO], rows)
     print(f"{label}: trace with {len(rows)} days -> {label}_trace.csv")
     return 0
 

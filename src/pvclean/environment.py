@@ -20,13 +20,13 @@ import numpy as np
 
 from . import soiling as phys
 from .soiling import SoilingParams
-from .weather import (KMH_PER_MS, MonthlyWeatherModel, default_model,
-                      generate_weather, load_model, make_streams)
+from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
+                      load_model, stack_weather)
 
 __all__ = [
     "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "EpisodeDoneError",
     "PRESETS", "preset", "load_config", "save_config", "CALIBRATED_PANEL_AREA",
-    "FEATURE_SCALES", "total_cost",
+    "FEATURE_SCALES", "total_cost", "day_arrays",
 ]
 
 ACTION_NO_CLEAN = 0
@@ -167,7 +167,7 @@ def load_config(path) -> ScenarioConfig:
 @dataclass
 class StepResult:
     observation: np.ndarray
-    reward: float
+    reward: float | np.ndarray
     done: bool
     info: dict
 
@@ -177,21 +177,54 @@ def total_cost(infos) -> float:
     return float(sum(i["energy_loss_cost"] + i["cleaning_cost_incurred"] for i in infos))
 
 
-class CleaningEnv:
-    """Single-owner, seeded cleaning environment.
+def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
+    """Schedule-independent per-day quantities, shaped (replications, n_days).
 
-    The full weather trajectory for an episode is pre-drawn at reset (the
-    draws are day-ordered per variable, so this is draw-for-draw identical
-    to sampling inside step) which keeps per-step cost negligible for the
-    training loops.
+    Daily calibrated deposition, the day's energy price factor
+    tariff * area * GHI/1000, and the age factor (shaped (n_days,)) do not
+    depend on the cleaning schedule, so they are computed once per weather
+    set.
+    """
+    sp = config.soiling
+    n_days = weather["wind_speed"].shape[1]
+    ws = weather["wind_speed"] / KMH_PER_MS  # deposition law wants m/s
+    d_cal = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"]),
+                           weather["relative_humidity"], sp.humidity_k)
+    price = config.tariff * config.panel_area * (weather["irradiance"] / 1000.0)
+    tau = phys.degradation_factor(np.arange(n_days) // 365, sp.annual_degradation)
+    return {"d_cal": d_cal, "price": price, "tau": tau,
+            # Energy loss is price * (tau*eff_max - eff); the first term
+            # does not depend on the schedule.
+            "clean_panel_loss": (price * (tau * sp.eff_max)).sum(axis=1)}
+
+
+class CleaningEnv:
+    """Single-owner, seeded cleaning environment over one or many replications.
+
+    ``reset`` draws the whole weather trajectory (the draws are day-ordered
+    per variable, so this is draw-for-draw identical to sampling inside
+    ``step``) and precomputes the schedule-independent day arrays, so a
+    step only cleans, accumulates soiling and prices the day.
+
+    Reset with a list of seeds to run one replication per seed in lockstep:
+    observations become (replications, obs_dim), and actions, rewards,
+    info values and the state attributes (``soiling``, ``days_since_clean``,
+    ``cumulative_cost``, ``cumulative_cleanings``) become (replications,)
+    arrays.  Each replication's numbers equal those of a single-seed episode
+    bit for bit.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.model = config.weather_model()
-        self._weather = None
         self.day = 0
         self.done = True
+        if config.normalization_mode == "feature_scaled":
+            scales = [FEATURE_SCALES[name] for name in ("deposition", "days_since_clean",
+                                                        *VARIABLES)]
+        else:
+            scales = [10.0] * (2 + len(VARIABLES))
+        self._scales = np.array(scales[:config.obs_dim])
 
     # -- episode control ---------------------------------------------------
 
@@ -199,94 +232,92 @@ class CleaningEnv:
         """Start a new episode; ``seed`` defaults to ``config.seed``.
 
         ``seed`` may be an int or an entropy tuple (e.g. a replication
-        sub-seed from :func:`pvclean.rng.replication_entropy`).
+        sub-seed from :func:`pvclean.rng.replication_entropy`), or a list of
+        those to start one replication per entry.
         """
-        entropy = self.config.seed if seed is None else seed
-        streams = make_streams(entropy)
-        self._weather = generate_weather(
-            self.model, self.config.n_days, streams, self.config.start_month)
+        cfg = self.config
+        seed = cfg.seed if seed is None else seed
+        batched = isinstance(seed, list)
+        weather = stack_weather(self.model, cfg.n_days, seed if batched else [seed],
+                                cfg.start_month)
+        days = day_arrays(cfg, weather)
+        self._shape = (len(seed),) if batched else ()
+
+        def by_day(a):
+            # Day-major view: step t reads row t (one scalar when not batched).
+            return a.T if batched else a[0]
+
+        self._d_cal = by_day(days["d_cal"])
+        self._price = by_day(days["price"])
+        self._tau = days["tau"]
+        # (n_days, [replications,] variable) in VARIABLES order, wind in m/s.
+        self._weather = np.empty((cfg.n_days, *self._shape, len(VARIABLES)))
+        for i, var in enumerate(VARIABLES):
+            self._weather[..., i] = by_day(weather[var])
+        self._weather[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
         self.day = 0
         self.done = False
-        self.soiling = 0.0
-        self.days_since_clean = 0
-        self.cumulative_cost = 0.0
-        self.cumulative_cleanings = 0
+        self.soiling = np.zeros(self._shape)[()]
+        self.days_since_clean = np.zeros(self._shape, dtype=np.int64)[()]
+        self.cumulative_cost = np.zeros(self._shape)[()]
+        self.cumulative_cleanings = np.zeros(self._shape, dtype=np.int64)[()]
         return self._observation()
 
-    def step(self, action: int) -> StepResult:
-        """Advance one day.  action: 0 = no clean, 1 = clean (this morning)."""
+    def step(self, action) -> StepResult:
+        """Advance one day.  action: 0 = no clean, 1 = clean (this morning).
+
+        After a batched reset, ``action`` holds one action per replication.
+        """
         if self.done:
             raise EpisodeDoneError("episode is finished; call reset()")
-        if action not in (ACTION_NO_CLEAN, ACTION_CLEAN):
-            raise ValueError(f"action must be 0 or 1, got {action}")
+        a = np.asarray(action)
+        cleaned = a == ACTION_CLEAN
+        # Every entry must be ACTION_NO_CLEAN (0, == False) or ACTION_CLEAN (1, == True).
+        if a.shape != self._shape or np.count_nonzero(a != cleaned):
+            raise ValueError(f"action must be 0 or 1 per replication, got {action!r}")
         cfg = self.config
         sp = cfg.soiling
         t = self.day
-        cleaned = action == ACTION_CLEAN
-
-        cleaning_cost_incurred = 0.0
-        if cleaned:
-            self.soiling = 0.0
-            self.days_since_clean = 0
-            self.cumulative_cleanings += 1
-            cleaning_cost_incurred = cfg.cleaning_cost
-
-        ws = self._weather["wind_speed"][t] / KMH_PER_MS  # deposition law wants m/s
-        pm = self._weather["particulate_matter"][t]
-        rh = self._weather["relative_humidity"][t]
-        ghi = self._weather["irradiance"][t]
-
-        d_cal = phys.calibrate(phys.daily_soiling(ws, pm), rh, sp.humidity_k)
+        cleaning_cost_incurred = np.where(cleaned, cfg.cleaning_cost, 0.0)
         # The fresh day's deposition lands even on a cleaning day.
-        self.soiling = phys.accumulate(self.soiling, d_cal, False, sp.beta_residue)
-
-        tau = phys.degradation_factor(t // 365, sp.annual_degradation)
+        self.soiling = phys.accumulate(np.where(cleaned, 0.0, self.soiling),
+                                       self._d_cal[t], False, sp.beta_residue)
+        tau = self._tau[t]
         eff = phys.efficiency(self.soiling, tau, sp)
-        energy_loss = cfg.tariff * cfg.panel_area * (ghi / 1000.0) * (tau * sp.eff_max - eff)
+        energy_loss = self._price[t] * (tau * sp.eff_max - eff)
 
         day_cost = energy_loss + cleaning_cost_incurred
-        self.cumulative_cost += day_cost
-
-        self.day += 1
+        self.cumulative_cost = self.cumulative_cost + day_cost
+        self.cumulative_cleanings = self.cumulative_cleanings + cleaned
         # Counts mornings since the last cleaning morning, so a fixed rule
         # "clean when the counter reaches z" fires every z-th day exactly.
-        self.days_since_clean += 1
+        self.days_since_clean = self.days_since_clean * ~cleaned + 1
+        self.day += 1
         self.done = self.day >= cfg.n_days
 
         if cfg.reward_mode == "per_step":
             reward = -day_cost
         else:
-            reward = -self.cumulative_cost if self.done else 0.0
-
+            reward = -self.cumulative_cost if self.done else np.zeros(self._shape)
         info = {
-            "day": t,
-            "energy_loss_cost": float(energy_loss),
-            "cleaning_cost_incurred": float(cleaning_cost_incurred),
-            "efficiency": float(eff),
-            "soiling": float(self.soiling),
-            "temperature": float(self._weather["temperature"][t]),
-            "wind_speed": float(ws),
-            "particulate_matter": float(pm),
-            "irradiance": float(ghi),
-            "relative_humidity": float(rh),
+            "energy_loss_cost": energy_loss,
+            "cleaning_cost_incurred": cleaning_cost_incurred,
+            "efficiency": eff,
+            "soiling": self.soiling,
+            **dict(zip(VARIABLES, self._weather[t].T)),
         }
-        obs = self._observation() if not self.done else self._observation(last=True)
-        return StepResult(obs, float(reward), self.done, info)
+        if not self._shape:
+            reward = float(reward)
+            info = {k: float(v) for k, v in info.items()}
+        return StepResult(self._observation(), reward, self.done, {"day": t, **info})
 
     # -- observation -------------------------------------------------------
 
-    def _observation(self, last: bool = False) -> np.ndarray:
+    def _observation(self) -> np.ndarray:
+        # After the last step the final day's weather is shown again.
         t = min(self.day, self.config.n_days - 1)
-        features = [
-            ("deposition", self.soiling),
-            ("days_since_clean", float(self.days_since_clean)),
-            ("temperature", self._weather["temperature"][t]),
-            ("wind_speed", self._weather["wind_speed"][t] / KMH_PER_MS),
-            ("particulate_matter", self._weather["particulate_matter"][t]),
-            ("irradiance", self._weather["irradiance"][t]),
-        ]
-        if self.config.include_humidity:
-            features.append(("relative_humidity", self._weather["relative_humidity"][t]))
-        if self.config.normalization_mode == "feature_scaled":
-            return np.array([v / FEATURE_SCALES[name] for name, v in features])
-        return np.array([v / 10.0 for _, v in features])
+        obs = np.empty(self._shape + self._scales.shape)
+        obs[..., 0] = self.soiling
+        obs[..., 1] = self.days_since_clean
+        obs[..., 2:] = self._weather[t][..., :len(self._scales) - 2]
+        return obs / self._scales

@@ -165,10 +165,13 @@ def clip_global_norm(grads, max_norm: float):
     return grads
 
 
+_MAGIC = "pvclean-densenet v1"
+
+
 def save_net(net: DenseNet, path) -> None:
     """Persist a network as versioned text; bit-exact via float hex."""
     with open(path, "w") as fh:
-        fh.write("pvclean-densenet v1\n")
+        fh.write(_MAGIC + "\n")
         fh.write("dims " + " ".join(str(d) for d in net.layer_dims) + "\n")
         fh.write("activations " + " ".join(net.activations) + "\n")
         for w, b in zip(net.weights, net.biases):
@@ -178,22 +181,45 @@ def save_net(net: DenseNet, path) -> None:
 
 
 def load_net(path) -> DenseNet:
-    """Load a network saved by :func:`save_net`; forward outputs match bit-for-bit."""
+    """Load a network saved by :func:`save_net`; forward outputs match bit-for-bit.
+
+    Raises ValueError unless the file holds exactly one complete network.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "pvclean-densenet v1":
+    if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a pvclean-densenet v1 file")
-    dims = [int(d) for d in lines[1].split()[1:]]
-    acts = lines[2].split()[1:]
-    net = DenseNet(dims, acts, seed=0)
+    header = [ln.split() for ln in lines[1:3]]
+    if len(header) != 2 or header[0][:1] != ["dims"] or header[1][:1] != ["activations"]:
+        raise ValueError(f"{path}: missing dims/activations header")
+    try:
+        dims = [int(d) for d in header[0][1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad dims line: {exc}") from exc
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: layer sizes must be >= 1: {dims}")
+    expected = 3 + sum(fan_out + 1 for fan_out in dims[1:])
+    if len(lines) != expected:
+        raise ValueError(f"{path}: {len(lines)} lines, dims {dims} need {expected}")
+
+    def row(idx: int, n: int) -> list:
+        try:
+            values = [float.fromhex(x) for x in lines[idx].split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {idx + 1}: {exc}") from exc
+        if len(values) != n:
+            raise ValueError(f"{path}: line {idx + 1}: {len(values)} values, expected {n}")
+        return values
+
+    weights, biases = [], []
     idx = 3
-    for i in range(len(acts)):
-        fan_out, fan_in = net.weights[i].shape
-        rows = []
-        for _ in range(fan_out):
-            rows.append([float.fromhex(x) for x in lines[idx].split()])
-            idx += 1
-        net.weights[i] = np.array(rows).reshape(fan_out, fan_in)
-        net.biases[i] = np.array([float.fromhex(x) for x in lines[idx].split()])
-        idx += 1
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(np.array([row(idx + k, fan_in) for k in range(fan_out)]))
+        biases.append(np.array(row(idx + fan_out, fan_out)))
+        idx += fan_out + 1
+    try:
+        net = DenseNet(dims, header[1][1:], seed=0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    net.weights, net.biases = weights, biases
     return net

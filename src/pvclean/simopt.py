@@ -5,9 +5,10 @@ the mean total cost over replicated Monte-Carlo episodes.  Replication r
 always uses the same sub-seed regardless of z (common random numbers), so
 the cost curve is smooth and bit-reproducible for a fixed base seed.
 
-The evaluator is vectorized across replications but walks days in the same
-order, with the same floating-point operations, as ``CleaningEnv.step``
-under a fixed-interval policy, so the two routes agree to rounding.
+The evaluator is vectorized across replications and days.  It shares the
+per-day deposition, price and age arrays (:func:`pvclean.environment.day_arrays`)
+with ``CleaningEnv`` but accumulates soiling in closed form, so the two
+routes agree to rounding.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import soiling as phys
-from .environment import ScenarioConfig
+from .environment import ScenarioConfig, day_arrays
 from .rng import replication_entropy
-from .weather import KMH_PER_MS, generate_weather, make_streams
+from .weather import stack_weather
 
 __all__ = ["IntervalEvaluation", "evaluate_interval", "optimize",
            "precompute_weather", "calibrate_panel_area"]
@@ -43,36 +43,9 @@ def precompute_weather(config: ScenarioConfig, replications: int) -> dict:
     Replication r uses the sub-seed (seed, replication-tag, r); identical
     across all intervals evaluated under the same config.
     """
-    model = config.weather_model()
-    arrays = None
-    for r in range(replications):
-        streams = make_streams(replication_entropy(config.seed, r))
-        w = generate_weather(model, config.n_days, streams, config.start_month)
-        if arrays is None:
-            arrays = {var: np.empty((replications, config.n_days)) for var in w}
-        for var, vals in w.items():
-            arrays[var][r] = vals
-    return arrays
-
-
-def _day_arrays(config: ScenarioConfig, weather: dict) -> dict:
-    """Interval-independent per-day quantities, shaped (replications, n_days).
-
-    Daily calibrated deposition, the day's energy price factor
-    tariff * area * GHI/1000, and the age factor are all independent of the
-    cleaning schedule, so they are computed once per weather set.
-    """
-    sp = config.soiling
-    n_days = weather["wind_speed"].shape[1]
-    ws = weather["wind_speed"] / KMH_PER_MS
-    d_cal = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"]),
-                           weather["relative_humidity"], sp.humidity_k)
-    price = config.tariff * config.panel_area * (weather["irradiance"] / 1000.0)
-    tau = phys.degradation_factor(np.arange(n_days) // 365, sp.annual_degradation)
-    return {"d_cal": d_cal, "price": price, "tau": tau,
-            # Energy loss is price * (tau*eff_max - eff); the first term
-            # does not depend on the schedule.
-            "clean_panel_loss": (price * (tau * sp.eff_max)).sum(axis=1)}
+    return stack_weather(config.weather_model(), config.n_days,
+                         [replication_entropy(config.seed, r) for r in range(replications)],
+                         config.start_month)
 
 
 def _episode_costs(z: int, config: ScenarioConfig, weather: dict,
@@ -87,7 +60,7 @@ def _episode_costs(z: int, config: ScenarioConfig, weather: dict,
     """
     sp = config.soiling
     if days is None:
-        days = _day_arrays(config, weather)
+        days = day_arrays(config, weather)
     n_reps, n_days = days["d_cal"].shape
     n_seg = -(-n_days // z)
     pad = n_seg * z - n_days
@@ -136,7 +109,7 @@ def optimize(config: ScenarioConfig, z_min: int = 1, z_max: int = 120,
     if z_min > z_max:
         raise ValueError(f"z_min {z_min} > z_max {z_max}")
     weather = precompute_weather(config, replications)
-    days = _day_arrays(config, weather)
+    days = day_arrays(config, weather)
     curve = [evaluate_interval(z, config, replications, weather=weather, days=days)
              for z in range(z_min, z_max + 1)]
     best = min(curve, key=lambda e: (e.mean_total_cost, e.z))

@@ -24,7 +24,7 @@ from .rng import RandomStream
 __all__ = [
     "VARIABLES", "CLAMPS", "KMH_PER_MS", "WeatherDay", "MonthlyWeatherModel",
     "default_model", "load_model", "save_model", "make_streams",
-    "sample_day", "generate_weather", "month_of_day", "MONTH_LENGTHS",
+    "sample_day", "generate_weather", "stack_weather", "month_of_day", "MONTH_LENGTHS",
     "ModelFormatError",
 ]
 
@@ -256,4 +256,21 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: dict,
         for var in VARIABLES:
             out[var][start:end] = sample_many(model.spec(m, var), streams[var], end - start)
         start = end
+    return out
+
+
+def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,
+                  start_month: int = 1) -> dict:
+    """Weather of several replications, one (replications, n_days) array per variable.
+
+    Row r is :func:`generate_weather` on the streams of ``entropies[r]``,
+    exactly as if that replication were drawn alone.
+    """
+    if not entropies:
+        raise ValueError("need at least one replication")
+    out = {var: np.empty((len(entropies), n_days)) for var in VARIABLES}
+    for r, entropy in enumerate(entropies):
+        for var, vals in generate_weather(model, n_days, make_streams(entropy),
+                                          start_month).items():
+            out[var][r] = vals
     return out

@@ -4,6 +4,7 @@ import pytest
 
 from pvclean.cli import main
 from pvclean.environment import preset, save_config
+from pvclean.nn import DenseNet, save_net
 
 ARGS = ["--horizon", "1", "--seed", "0"]
 
@@ -118,6 +119,29 @@ def test_bad_policy_file_is_an_error(tmp_path):
     bogus.write_text("nonsense\n")
     rc = run(["eval", bogus, "--case", "S1exp", *ARGS, "--out", tmp_path])
     assert rc == 1
+
+
+def test_truncated_policy_file_is_an_error(tmp_path, capsys):
+    policy = tmp_path / "policy.txt"
+    save_net(DenseNet([6, 8, 2], ["relu", "softmax"], seed=0), policy)
+    policy.write_text("".join(policy.read_text().splitlines(keepends=True)[:-2]))
+    rc = run(["eval", policy, "--case", "S1exp", *ARGS, "--out", tmp_path])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "policy.txt" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "interval:20", "--episodes", "0"],
+    ["simopt", "--reps", "0"],
+])
+def test_zero_replications_is_an_error(tmp_path, capsys, argv):
+    rc = run([*argv, "--case", "S1exp", *ARGS, "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "nan" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -6,6 +6,9 @@ arrays and the soiling primitives, independently of CleaningEnv.step.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvclean import soiling as phys
 from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
@@ -138,6 +141,12 @@ def test_invalid_action_and_done_errors():
     assert res.done
     with pytest.raises(EpisodeDoneError):
         env.step(0)
+    env.reset([1, 2])
+    for bad in (0, [0], [0, 2], [0.5, 1]):
+        with pytest.raises(ValueError):
+            env.step(bad)
+    with pytest.raises(ValueError):
+        env.reset([])
 
 
 def test_reward_modes_agree_on_episode_total():
@@ -206,3 +215,39 @@ def test_degradation_applies_across_years():
     res = env.step(0)
     # Efficiency now carries the tau = 0.95 factor.
     assert res.info["efficiency"] <= 0.95 * cfg.soiling.eff_max + 1e-12
+
+
+_ENTROPY = st.one_of(st.integers(0, 2**32),
+                     st.tuples(st.integers(0, 9), st.integers(0, 1), st.integers(0, 99)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds=st.lists(_ENTROPY, min_size=1, max_size=3),
+       overrides=st.sampled_from([{}, {"reward_mode": "terminal"},
+                                  {"normalization_mode": "div10"},
+                                  {"include_humidity": True}]),
+       data=st.data())
+def test_lockstep_replications_match_single_seed_episodes(seeds, overrides, data):
+    """One env stepped in lockstep over R seeds == R single-seed episodes, bit for bit."""
+    cfg = ScenarioConfig(**SMALL, **overrides)
+    actions = data.draw(arrays(np.int64, (len(seeds), cfg.n_days),
+                               elements=st.integers(0, 1)))
+    env = CleaningEnv(cfg)
+    observations = [env.reset(seeds)]
+    rewards = []
+    for day in range(cfg.n_days):
+        res = env.step(actions[:, day])
+        observations.append(res.observation)
+        rewards.append(res.reward)
+    assert res.done
+
+    for r, seed in enumerate(seeds):
+        single = CleaningEnv(cfg)
+        assert np.array_equal(single.reset(seed), observations[0][r])
+        for day in range(cfg.n_days):
+            res = single.step(int(actions[r, day]))
+            assert res.reward == rewards[day][r]
+            assert np.array_equal(res.observation, observations[day + 1][r])
+        assert single.cumulative_cost == env.cumulative_cost[r]
+        assert single.cumulative_cleanings == env.cumulative_cleanings[r]
+        assert single.cumulative_cleanings == actions[r].sum()

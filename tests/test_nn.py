@@ -167,6 +167,29 @@ def test_load_rejects_wrong_magic(tmp_path):
         load_net(path)
 
 
+_MALFORMED = {
+    "header only": lambda text, lines: "".join(lines[:3]),
+    "last row missing": lambda text, lines: "".join(lines[:-1]),
+    "short row": lambda text, lines: "".join(lines[:3]) + lines[3].split(" ", 1)[1]
+    + "".join(lines[4:]),
+    "cut mid-number": lambda text, lines: text[:len(text) // 2],
+    "extra line": lambda text, lines: text + lines[-1],
+    "bad dims": lambda text, lines: text.replace("dims 6 32 2", "dims 6 x 2"),
+    "activation count": lambda text, lines: text.replace("relu softmax", "relu"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_load_rejects_malformed_file(tmp_path, case):
+    """A truncated or inconsistent file is a ValueError, never an IndexError."""
+    path = tmp_path / "net.txt"
+    save_net(DenseNet([6, 32, 2], ["relu", "softmax"], seed=9), path)
+    text = path.read_text()
+    path.write_text(_MALFORMED[case](text, text.splitlines(keepends=True)))
+    with pytest.raises(ValueError, match="net.txt"):
+        load_net(path)
+
+
 def test_copy_is_deep():
     net = DenseNet([3, 2], ["linear"], seed=1)
     other = net.copy()
