@@ -1,29 +1,27 @@
 """Day-by-day decision trace of a cleaning policy over one sampled year.
 
-Steps the environment under a fixed-interval rule and prints the days
+Plays a fixed-interval rule through ``agents.rollout`` and prints the days
 around each cleaning: soiling builds up, efficiency sags, the clean resets
 both, and the daily energy-loss cost tracks irradiance.
 """
 
-from pvclean.agents import FixedIntervalPolicy
+from pvclean.agents import FixedIntervalPolicy, rollout
 from pvclean.environment import CleaningEnv, preset
 from pvclean.rng import replication_entropy
 
 cfg = preset("S1exp", horizon_years=1)
-policy = FixedIntervalPolicy(20, cfg)
-
-env = CleaningEnv(cfg)
-obs = env.reset(replication_entropy(cfg.seed, 0))
 rows = []
-done = False
-while not done:
-    action = policy.action(obs)
-    res = env.step(action)
-    rows.append((res.info["day"], action, res.info["soiling"],
-                 res.info["efficiency"], res.info["energy_loss_cost"],
-                 res.info["cleaning_cost_incurred"]))
-    obs = res.observation
-    done = res.done
+
+
+def record(obs, actions, res):
+    # One replication: entry 0 of every array.
+    info = res.info
+    rows.append((info["day"], int(actions[0]), info["soiling"][0], info["efficiency"][0],
+                 info["energy_loss_cost"][0], info["cleaning_cost_incurred"][0]))
+
+
+rollout(FixedIntervalPolicy(20, cfg), CleaningEnv(cfg),
+        [replication_entropy(cfg.seed, 0)], record)
 
 print(f"{'day':>4} {'act':>4} {'soiling':>9} {'eff':>7} "
       f"{'energy loss':>12} {'cleaning':>9}")

@@ -21,7 +21,7 @@ from .rng import RandomStream, replication_entropy, training_entropy
 __all__ = [
     "PPOConfig", "SACConfig", "NumericalError", "compute_gae",
     "clipped_surrogate_grad", "PPOAgent", "SACAgent", "ReplayBuffer",
-    "GreedyPolicy", "FixedIntervalPolicy", "TrainResult", "EvalResult",
+    "GreedyPolicy", "FixedIntervalPolicy", "SampledPolicy", "TrainResult", "EvalResult",
     "train", "rollout", "evaluate",
 ]
 
@@ -112,28 +112,27 @@ def clipped_surrogate_grad(ratios, advantages, clip_epsilon: float):
 
 
 # ---------------------------------------------------------------------------
-# Policies (evaluation-time action rules)
+# Policies (action rules that agents.rollout plays)
 
 
 class GreedyPolicy:
     """Argmax over the actor's action probabilities.
 
-    ``action`` takes one observation (obs_dim,) and returns an int, or a
-    batch (replications, obs_dim) and returns one action per row.
+    ``action`` takes observations (replications, obs_dim) and returns one
+    action per row.
     """
 
     def __init__(self, net: DenseNet):
         self.net = net
 
     def action(self, observation):
-        a = np.argmax(self.net.forward(observation), axis=-1)
-        return int(a) if a.ndim == 0 else a
+        return np.argmax(self.net.forward(observation), axis=-1)
 
 
 class FixedIntervalPolicy:
     """Clean on the morning the days-since-clean counter reaches z.
 
-    Takes the same observation shapes as :class:`GreedyPolicy`.
+    Takes the same observation batches as :class:`GreedyPolicy`.
     """
 
     def __init__(self, z: int, config: ScenarioConfig):
@@ -147,8 +146,25 @@ class FixedIntervalPolicy:
 
     def action(self, observation):
         days = np.rint(np.asarray(observation)[..., 1] * self._scale)
-        a = (days >= self.z).astype(np.int64)
-        return int(a) if a.ndim == 0 else a
+        return (days >= self.z).astype(np.int64)
+
+
+class SampledPolicy:
+    """The stochastic training policy of one replication.
+
+    Each day cleans when a uniform from stream 9 of the episode's entropy
+    falls below the actor's clean probability.  ``probs`` keeps the last
+    (1, 2) action probabilities, for the log-probability of the action.
+    """
+
+    def __init__(self, net: DenseNet, entropy):
+        self.net = net
+        self.probs = None
+        self._stream = RandomStream(entropy, stream_id=9)
+
+    def action(self, observation):
+        self.probs = self.net.forward(observation)
+        return np.array([1 if self._stream.uniform() < self.probs[0, 1] else 0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +195,16 @@ class PPOAgent:
 
     def collect_episode(self, env: CleaningEnv, entropy) -> Rollout:
         """One full stochastic-policy episode (the PPO rollout)."""
-        action_stream = RandomStream(entropy, stream_id=9)
-        obs = env.reset(entropy)
+        policy = SampledPolicy(self.actor, entropy)
         observations, actions, rewards, log_probs = [], [], [], []
-        done = False
-        while not done:
-            probs = self.actor.forward(obs)
-            a = 1 if action_stream.uniform() < probs[1] else 0
-            res = env.step(a)
-            observations.append(obs)
-            actions.append(a)
-            rewards.append(res.reward)
-            log_probs.append(np.log(max(probs[a], 1e-300)))
-            obs = res.observation
-            done = res.done
+
+        def record(obs, a, res):
+            observations.append(obs[0])
+            actions.append(a[0])
+            rewards.append(res.reward[0])
+            log_probs.append(np.log(max(policy.probs[0, a[0]], 1e-300)))
+
+        rollout(policy, env, [entropy], record)
         observations = np.array(observations)
         values = self.critic.forward(observations)[:, 0]
         return Rollout(observations, np.array(actions), np.array(rewards),
@@ -343,29 +355,32 @@ class SACAgent:
         v_next = (next_probs * (tq - alpha * np.log(next_probs))).sum(axis=1)
         y = rew + cfg.gamma * (1.0 - done) * v_next
 
-        q_losses = []
-        for net, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
+        # Both critics' losses and gradients are checked before either
+        # steps, so a non-finite update moves no weight (q2's gradient does
+        # not read q1).
+        q_losses, q_grads = [], []
+        for net in (self.q1, self.q2):
             qsa = self._q_all_actions(net, obs)
             pred = qsa[np.arange(b), act]
             err = pred - y
             q_losses.append(float(np.mean(err ** 2)))
             grad = np.zeros((b, 2))
             grad[np.arange(b), act] = 2.0 * err / b
-            grads = net.backward(grad.reshape(-1, 1))
-            opt.step(grads)
+            q_grads.append(net.backward(grad.reshape(-1, 1)))
+        if not all(np.isfinite(x).all() for x in (q_losses, *q_grads[0], *q_grads[1])):
+            raise NumericalError(f"non-finite SAC critic loss or gradient (q={q_losses})")
+        self.opt_q1.step(q_grads[0])
+        self.opt_q2.step(q_grads[1])
 
         # Policy: ascend E_a~pi [min Q - alpha log pi], critics held fixed.
         probs = np.clip(self.actor.forward(obs), 1e-12, None)
         qmin = np.minimum(self._q_all_actions(self.q1, obs),
                           self._q_all_actions(self.q2, obs))
         policy_obj = float((probs * (qmin - alpha * np.log(probs))).sum(axis=1).mean())
+        if not np.isfinite(policy_obj):
+            raise NumericalError(f"non-finite SAC policy loss {-policy_obj}")
         grad_probs = -(qmin - alpha * (np.log(probs) + 1.0)) / b
-        actor_grads = self.actor.backward(grad_probs)
-        self.opt_actor.step(actor_grads)
-
-        if not all(np.isfinite(v) for v in (*q_losses, policy_obj)):
-            raise NumericalError(
-                f"non-finite SAC loss (q={q_losses}, policy={-policy_obj})")
+        self.opt_actor.step(self.actor.backward(grad_probs))
 
         self.polyak_update(self.target_q1, self.q1, cfg.target_update_rate)
         self.polyak_update(self.target_q2, self.q2, cfg.target_update_rate)
@@ -423,56 +438,48 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
 
     if agent_kind == "ppo":
         agent = PPOAgent(env_config.obs_dim, agent_config or PPOConfig(), seed=seed)
-        for ep in range(episodes):
-            rollout = agent.collect_episode(env, training_entropy(seed, ep))
-            reward_curve.append(float(rollout.rewards.sum()))
-            loss_history.append(agent.update(rollout))
-            smoothed = _smoothed(reward_curve)
-            if smoothed > best:
-                best = smoothed
-                best_net = agent.actor.copy()
-        final_net = agent.actor
+
+        def play(entropy) -> float:
+            episode = agent.collect_episode(env, entropy)
+            loss_history.append(agent.update(episode))
+            return float(episode.rewards.sum())
     else:
         cfg = agent_config or SACConfig()
         agent = SACAgent(env_config.obs_dim, cfg, seed=seed)
         total_steps = 0
-        for ep in range(episodes):
-            entropy = training_entropy(seed, ep)
-            action_stream = RandomStream(entropy, stream_id=9)
-            obs = env.reset(entropy)
-            ep_reward = 0.0
-            done = False
-            while not done:
-                probs = agent.actor.forward(obs)
-                a = 1 if action_stream.uniform() < probs[1] else 0
-                res = env.step(a)
-                agent.buffer.push(obs, a, res.reward, res.observation, res.done)
-                obs = res.observation
-                ep_reward += res.reward
-                done = res.done
-                total_steps += 1
-                if total_steps > cfg.warmup_steps and agent.buffer.size >= cfg.batch_size:
-                    loss_history.append(agent.update())
-            reward_curve.append(ep_reward)
-            smoothed = _smoothed(reward_curve)
-            if smoothed > best:
-                best = smoothed
-                best_net = agent.actor.copy()
-        final_net = agent.actor
 
-    return TrainResult(agent_kind, reward_curve, best_net, final_net,
+        def learn(obs, a, res):
+            nonlocal total_steps
+            agent.buffer.push(obs[0], a[0], res.reward[0], res.observation[0], res.done)
+            total_steps += 1
+            if total_steps > cfg.warmup_steps and agent.buffer.size >= cfg.batch_size:
+                loss_history.append(agent.update())
+
+        def play(entropy) -> float:
+            rollout(SampledPolicy(agent.actor, entropy), env, [entropy], learn)
+            # The rewards summed day by day, in either reward mode.
+            return float(-env.cumulative_cost[0])
+
+    for ep in range(episodes):
+        reward_curve.append(play(training_entropy(seed, ep)))
+        smoothed = _smoothed(reward_curve)
+        if smoothed > best:
+            best = smoothed
+            best_net = agent.actor.copy()
+
+    return TrainResult(agent_kind, reward_curve, best_net, agent.actor,
                        best, episodes, seed, loss_history)
 
 
-def rollout(policy, env: CleaningEnv, seed, on_step=None) -> CleaningEnv:
-    """Play ``policy`` through the episode(s) ``env.reset(seed)`` starts.
+def rollout(policy, env: CleaningEnv, seeds, on_step=None) -> CleaningEnv:
+    """Play ``policy`` through the replications ``env.reset(seeds)`` starts.
 
-    With a list of seeds all replications run in lockstep: each day makes
-    one batched ``policy.action`` call and one ``env.step``.
+    All replications run in lockstep: each day makes one batched
+    ``policy.action`` call and one ``env.step``.
     ``on_step(observation, actions, step_result)`` sees every day.  Returns
     ``env`` holding the finished episodes' totals.
     """
-    obs = env.reset(seed)
+    obs = env.reset(seeds)
     while not env.done:
         actions = policy.action(obs)
         res = env.step(actions)

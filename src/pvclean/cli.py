@@ -181,6 +181,8 @@ def _read_summary(path: Path) -> dict | None:
         return None
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no data row under the header")
     cols = lines[0].split(",")
     vals = lines[1].split(",")
     return dict(zip(cols, vals))

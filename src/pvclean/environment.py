@@ -14,6 +14,7 @@ dynamics but is not exposed unless ``include_humidity`` is set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
 __all__ = [
     "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "EpisodeDoneError",
     "PRESETS", "preset", "load_config", "save_config", "CALIBRATED_PANEL_AREA",
-    "FEATURE_SCALES", "total_cost", "day_arrays",
+    "FEATURE_SCALES", "day_arrays",
 ]
 
 ACTION_NO_CLEAN = 0
@@ -76,12 +77,18 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
+        for name in ("tariff", "cleaning_cost", "panel_area"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite: {getattr(self, name)}")
         if self.tariff <= 0:
             raise ConfigError(f"tariff must be > 0: {self.tariff}")
         if self.cleaning_cost < 0:
             raise ConfigError(f"cleaning_cost must be >= 0: {self.cleaning_cost}")
         if self.panel_area <= 0:
             raise ConfigError(f"panel_area must be > 0: {self.panel_area}")
+        for name in ("horizon_years", "start_month", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer: {getattr(self, name)!r}")
         if self.horizon_years < 1:
             raise ConfigError(f"horizon_years must be >= 1: {self.horizon_years}")
         if self.reward_mode not in ("per_step", "terminal"):
@@ -154,27 +161,22 @@ def load_config(path) -> ScenarioConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    sp = data.pop("soiling", None)
-    if sp is not None:
-        sp["cubic"] = tuple(sp.get("cubic", SoilingParams().cubic))
-        data["soiling"] = SoilingParams(**sp)
     try:
+        sp = data.pop("soiling", None)
+        if sp is not None:
+            sp["cubic"] = tuple(sp.get("cubic", SoilingParams().cubic))
+            data["soiling"] = SoilingParams(**sp)
         return ScenarioConfig(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass
 class StepResult:
     observation: np.ndarray
-    reward: float | np.ndarray
+    reward: np.ndarray
     done: bool
     info: dict
-
-
-def total_cost(infos) -> float:
-    """Total cost of a completed episode from its per-step info dicts."""
-    return float(sum(i["energy_loss_cost"] + i["cleaning_cost_incurred"] for i in infos))
 
 
 def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
@@ -206,12 +208,12 @@ class CleaningEnv:
     ``step``) and precomputes the schedule-independent day arrays, so a
     step only cleans, accumulates soiling and prices the day.
 
-    Reset with a list of seeds to run one replication per seed in lockstep:
-    observations become (replications, obs_dim), and actions, rewards,
-    info values and the state attributes (``soiling``, ``days_since_clean``,
-    ``cumulative_cost``, ``cumulative_cleanings``) become (replications,)
-    arrays.  Each replication's numbers equal those of a single-seed episode
-    bit for bit.
+    ``reset`` takes a list of seeds and runs one replication per seed in
+    lockstep: observations are (replications, obs_dim), and actions,
+    rewards, info values and the state attributes (``soiling``,
+    ``days_since_clean``, ``cumulative_cost``, ``cumulative_cleanings``) are
+    (replications,) arrays.  Each replication's numbers equal those of a
+    one-seed episode bit for bit.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -228,45 +230,39 @@ class CleaningEnv:
 
     # -- episode control ---------------------------------------------------
 
-    def reset(self, seed=None) -> np.ndarray:
-        """Start a new episode; ``seed`` defaults to ``config.seed``.
+    def reset(self, seeds=None) -> np.ndarray:
+        """Start one replication per entry of the list ``seeds``.
 
-        ``seed`` may be an int or an entropy tuple (e.g. a replication
-        sub-seed from :func:`pvclean.rng.replication_entropy`), or a list of
-        those to start one replication per entry.
+        ``seeds`` defaults to ``[config.seed]``.  Each entry is an int or an
+        entropy tuple (e.g. a replication sub-seed from
+        :func:`pvclean.rng.replication_entropy`).
         """
         cfg = self.config
-        seed = cfg.seed if seed is None else seed
-        batched = isinstance(seed, list)
-        weather = stack_weather(self.model, cfg.n_days, seed if batched else [seed],
-                                cfg.start_month)
+        seeds = [cfg.seed] if seeds is None else seeds
+        if not isinstance(seeds, list):
+            raise ValueError(f"seeds must be a list with one seed per replication, "
+                             f"got {seeds!r}")
+        weather = stack_weather(self.model, cfg.n_days, seeds, cfg.start_month)
         days = day_arrays(cfg, weather)
-        self._shape = (len(seed),) if batched else ()
-
-        def by_day(a):
-            # Day-major view: step t reads row t (one scalar when not batched).
-            return a.T if batched else a[0]
-
-        self._d_cal = by_day(days["d_cal"])
-        self._price = by_day(days["price"])
+        self._shape = (len(seeds),)
+        # Day-major views: step t reads row t.
+        self._d_cal = days["d_cal"].T
+        self._price = days["price"].T
         self._tau = days["tau"]
-        # (n_days, [replications,] variable) in VARIABLES order, wind in m/s.
-        self._weather = np.empty((cfg.n_days, *self._shape, len(VARIABLES)))
-        for i, var in enumerate(VARIABLES):
-            self._weather[..., i] = by_day(weather[var])
+        # (n_days, replications, variable) in VARIABLES order, wind in m/s.
+        self._weather = np.stack([weather[var].T for var in VARIABLES], axis=-1)
         self._weather[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
         self.day = 0
         self.done = False
-        self.soiling = np.zeros(self._shape)[()]
-        self.days_since_clean = np.zeros(self._shape, dtype=np.int64)[()]
-        self.cumulative_cost = np.zeros(self._shape)[()]
-        self.cumulative_cleanings = np.zeros(self._shape, dtype=np.int64)[()]
+        self.soiling = np.zeros(self._shape)
+        self.days_since_clean = np.zeros(self._shape, dtype=np.int64)
+        self.cumulative_cost = np.zeros(self._shape)
+        self.cumulative_cleanings = np.zeros(self._shape, dtype=np.int64)
         return self._observation()
 
     def step(self, action) -> StepResult:
-        """Advance one day.  action: 0 = no clean, 1 = clean (this morning).
-
-        After a batched reset, ``action`` holds one action per replication.
+        """Advance one day.  ``action`` holds one action per replication:
+        0 = no clean, 1 = clean (this morning).
         """
         if self.done:
             raise EpisodeDoneError("episode is finished; call reset()")
@@ -306,9 +302,6 @@ class CleaningEnv:
             "soiling": self.soiling,
             **dict(zip(VARIABLES, self._weather[t].T)),
         }
-        if not self._shape:
-            reward = float(reward)
-            info = {k: float(v) for k, v in info.items()}
         return StepResult(self._observation(), reward, self.done, {"day": t, **info})
 
     # -- observation -------------------------------------------------------

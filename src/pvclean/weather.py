@@ -1,8 +1,9 @@
 """Month-indexed stochastic weather model for an arid (Abu Dhabi-like) site.
 
-The default model is a 12-month x 5-variable grid of fitted distributions
-(temperature degC, wind speed m/s, particulate matter g/m2, daily global
-horizontal irradiance Wh/m2/day, relative humidity %).  Each simulated day
+The default model (the packaged ``data/weather_model.csv``) is a 12-month
+x 5-variable grid of fitted distributions (temperature degC, wind speed
+m/s, particulate matter g/m2, daily global horizontal irradiance
+Wh/m2/day, relative humidity %).  Each simulated day
 draws one value per variable from that day's month, independently of other
 days, using one dedicated random stream per variable.
 
@@ -13,8 +14,8 @@ throughout, so a 20-year horizon is exactly 7300 days.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from importlib.resources import as_file, files
 
 import numpy as np
 
@@ -44,80 +45,6 @@ CLAMPS = {
 }
 
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-# Fitted monthly distributions: month -> (family, params) per variable.
-_DEFAULT_GRID = {
-    "temperature": {
-        1: ("lognormal", (17.0, 1.16, 0.559)),
-        2: ("lognormal", (16.0, 1.57, 0.546)),
-        3: ("triangular", (18.0, 31.6, 22.2)),
-        4: ("lognormal", (13.2, 2.74, 0.178)),
-        5: ("lognormal", (-14.1, 3.84e-2, 3.86)),
-        6: ("normal", (34.9, 1.64)),
-        7: ("normal", (36.1, 2.11)),
-        8: ("lognormal", (29.2, 1.92, 0.125)),
-        9: ("normal", (34.2, 1.72)),
-        10: ("normal", (30.8, 1.59)),
-        11: ("triangular", (21.3, 29.8, 27.9)),
-        12: ("normal", (22.8, 1.6)),
-    },
-    "wind_speed": {
-        1: ("lognormal", (3.77, 1.82, 0.672)),
-        2: ("lognormal", (4.05, 1.82, 0.657)),
-        3: ("lognormal", (2.92, 2.24, 0.467)),
-        4: ("lognormal", (2.44, 2.2, 0.351)),
-        5: ("lognormal", (6.49, 1.47, 0.555)),
-        6: ("lognormal", (7.21, 1.25, 0.708)),
-        7: ("lognormal", (4.9, 1.87, 0.309)),
-        8: ("lognormal", (-461.0, 6.16, 3.51e-3)),
-        9: ("lognormal", (2.56, 2.12, 0.165)),
-        10: ("lognormal", (6.25, 1.37, 0.374)),
-        11: ("lognormal", (4.88, 1.58, 0.5)),
-        12: ("lognormal", (4.89, 1.31, 0.695)),
-    },
-    "particulate_matter": {
-        1: ("lognormal", (1.56e-2, -2.78, 1.08)),
-        2: ("lognormal", (-1.05e-2, -2.0, 0.796)),
-        3: ("lognormal", (-2.04e-2, -1.86, 0.684)),
-        4: ("lognormal", (-5.17e-2, -1.56, 0.568)),
-        5: ("lognormal", (-1.28e-3, -1.78, 0.648)),
-        6: ("lognormal", (9.11e-3, -1.64, 0.629)),
-        7: ("lognormal", (7.43e-2, -1.94, 0.811)),
-        8: ("lognormal", (2.37e-2, -1.89, 0.946)),
-        9: ("lognormal", (7.96e-3, -1.97, 0.735)),
-        10: ("lognormal", (2.9e-2, -2.76, 0.718)),
-        11: ("lognormal", (-3.75e-3, -2.39, 0.694)),
-        12: ("lognormal", (1.11e-2, -3.03, 0.581)),
-    },
-    "irradiance": {
-        1: ("weibull", (1.93e3, 4.79, 2.7e3)),
-        2: ("beta", (1.61e3, 6.7e3, 4.96, 2.23)),
-        3: ("johnsonsb", (-8.48e3, 1.61e4, -2.87, 1.13)),
-        4: ("beta", (1.76e3, 8.7e3, 4.39, 1.95)),
-        5: ("weibull", (5.25e3, 3.92, 2.39e3)),
-        6: ("weibull", (6.5e3, 4.01, 1.36e3)),
-        7: ("weibull", (4.56e3, 6.48, 2.85e3)),
-        8: ("weibull", (4.89e3, 5.33, 2.22e3)),
-        9: ("weibull", (5.4e3, 4.34, 1.38e3)),
-        10: ("weibull", (3.38e3, 7.5, 2.52e3)),
-        11: ("weibull", (1.66e3, 6.85, 3.2e3)),
-        12: ("weibull", (2.38e3, 7.49, 2.02e3)),
-    },
-    "relative_humidity": {
-        1: ("loglogistic", (0.0, 12.0, 61.7)),
-        2: ("beta", (0.0, 98.8, 10.2, 6.35)),
-        3: ("weibull", (0.0, 5.98, 60.3)),
-        4: ("beta", (0.0, 77.1, 4.51, 3.15)),
-        5: ("loglogistic", (0.0, 10.3, 45.2)),
-        6: ("johnsonsb", (0.0, 89.0, -0.606, 1.89)),
-        7: ("johnsonsb", (0.0, 82.8, -0.893, 1.98)),
-        8: ("beta", (0.0, 73.0, 5.98, 1.74)),
-        9: ("johnsonsb", (0.0, 80.4, -1.19, 1.48)),
-        10: ("johnsonsb", (0.0, 80.7, -1.43, 1.67)),
-        11: ("weibull", (0.0, 8.48, 61.7)),
-        12: ("gamma", (0.0, 59.1, 1.06)),
-    },
-}
 
 
 class ModelFormatError(ValueError):
@@ -163,13 +90,9 @@ class MonthlyWeatherModel:
 
 
 def default_model() -> MonthlyWeatherModel:
-    """The bundled fitted weather grid with standard physical clamps."""
-    table = {}
-    for var in VARIABLES:
-        lo, hi = CLAMPS[var]
-        for month, (family, params) in _DEFAULT_GRID[var].items():
-            table[(month, var)] = DistributionSpec(family, params, lo, hi)
-    return MonthlyWeatherModel(table)
+    """The bundled fitted weather grid (``data/weather_model.csv``)."""
+    with as_file(files(__package__) / "data" / "weather_model.csv") as path:
+        return load_model(path)
 
 
 def save_model(model: MonthlyWeatherModel, path) -> None:

@@ -9,7 +9,7 @@ from pvclean.agents import (FixedIntervalPolicy, GreedyPolicy, PPOConfig,
                             compute_gae, evaluate, train)
 from pvclean.environment import FEATURE_SCALES, CleaningEnv, ScenarioConfig
 from pvclean.nn import DenseNet
-from pvclean.rng import replication_entropy
+from pvclean.rng import RandomStream, replication_entropy
 from pvclean.simopt import evaluate_interval
 
 SMALL = dict(tariff=0.073, cleaning_cost=0.0183, horizon_years=1)
@@ -81,9 +81,9 @@ def test_ppo_config_validation():
 def test_greedy_policy_argmax():
     net = DenseNet([6, 4, 2], ["relu", "softmax"], seed=0)
     policy = GreedyPolicy(net)
-    obs = np.zeros(6)
+    obs = np.zeros((1, 6))
     p = net.forward(obs)
-    assert policy.action(obs) == int(np.argmax(p))
+    assert policy.action(obs).tolist() == [int(np.argmax(p[0]))]
 
 
 def test_fixed_interval_policy_cleans_every_z_days():
@@ -94,7 +94,7 @@ def test_fixed_interval_policy_cleans_every_z_days():
     clean_days = []
     for day in range(cfg.n_days):
         a = policy.action(obs)
-        if a:
+        if a[0]:
             clean_days.append(day)
         obs = env.step(a).observation
     assert clean_days == list(range(30, 365, 30))
@@ -108,7 +108,7 @@ def test_fixed_interval_policy_div10_mode():
     cleanings = 0
     for _ in range(50):
         a = policy.action(obs)
-        cleanings += a
+        cleanings += int(a[0])
         obs = env.step(a).observation
     # Counter reaches 10 at mornings 10, 20, 30, 40 within 50 steps.
     assert cleanings == 4
@@ -141,18 +141,18 @@ def test_evaluate_fixed_interval_matches_simopt():
 
 
 def sequential_evaluate(policy, cfg, episodes):
-    """Reference: one scalar-seed episode at a time, one action per step."""
-    env = CleaningEnv(cfg)
+    """Reference: one one-replication env per episode, played one after another."""
     costs, cleanings = [], []
     for r in range(episodes):
-        obs = env.reset(replication_entropy(cfg.seed, r))
+        env = CleaningEnv(cfg)
+        obs = env.reset([replication_entropy(cfg.seed, r)])
         done = False
         while not done:
             res = env.step(policy.action(obs))
             obs = res.observation
             done = res.done
-        costs.append(env.cumulative_cost)
-        cleanings.append(env.cumulative_cleanings)
+        costs.append(float(env.cumulative_cost[0]))
+        cleanings.append(int(env.cumulative_cleanings[0]))
     return costs, cleanings
 
 
@@ -192,11 +192,11 @@ def test_policies_accept_observation_batches():
     obs = np.zeros((3, cfg.obs_dim))
     obs[:, 1] = [0.04, 0.05, 0.06]       # 4, 5 and 6 days since cleaning
     np.testing.assert_array_equal(FixedIntervalPolicy(5, cfg).action(obs), [0, 1, 1])
-    assert FixedIntervalPolicy(5, cfg).action(obs[1]) == 1
+    assert FixedIntervalPolicy(5, cfg).action(obs[1:2]).tolist() == [1]
     greedy = GreedyPolicy(DenseNet([cfg.obs_dim, 8, 2], ["relu", "softmax"], seed=0))
     batch = greedy.action(obs)
     assert batch.shape == (3,)
-    assert [greedy.action(row) for row in obs] == batch.tolist()
+    assert [greedy.action(obs[r:r + 1])[0] for r in range(3)] == batch.tolist()
 
 
 def test_train_validates_arguments():
@@ -235,3 +235,54 @@ def test_best_net_tracks_best_smoothed_reward():
     assert res.best_net is not None
     assert res.best_smoothed_reward >= max(
         np.mean(res.reward_curve[: k + 1][-20:]) for k in range(3)) - 1e-12
+
+
+def _sac_state(agent):
+    """Copies of every net's parameters and every optimizer's moments."""
+    nets = (agent.actor, agent.q1, agent.q2, agent.target_q1, agent.target_q2)
+    opts = (agent.opt_actor, agent.opt_q1, agent.opt_q2)
+    return ([p.copy() for net in nets for p in net.parameters()],
+            [a.copy() for opt in opts for a in (*opt.m, *opt.v)],
+            [opt.t for opt in opts])
+
+
+def test_sac_update_fails_before_any_weight_moves():
+    cfg = agents.SACConfig(batch_size=8, hidden=16)
+    agent = agents.SACAgent(6, cfg, seed=3)
+    gen = np.random.default_rng(0)
+    for _ in range(cfg.batch_size):
+        agent.buffer.push(gen.random(6), int(gen.integers(2)), float("nan"),
+                          gen.random(6), False)
+    before = _sac_state(agent)
+    with pytest.raises(agents.NumericalError, match="critic"):
+        agent.update()
+    after = _sac_state(agent)
+    for b, a in zip(before[0] + before[1], after[0] + after[1]):
+        np.testing.assert_array_equal(a, b)
+    assert after[2] == before[2] == [0, 0, 0]
+
+
+def test_collect_episode_matches_reference_loop():
+    """The rollout-driven PPO episode equals a hand-written day loop."""
+    cfg = ScenarioConfig(**SMALL, seed=2)
+    agent = agents.PPOAgent(cfg.obs_dim, PPOConfig(hidden=16), seed=5)
+    entropy = (5, 1, 0)
+    episode = agent.collect_episode(CleaningEnv(cfg), entropy)
+
+    env = CleaningEnv(cfg)
+    stream = RandomStream(entropy, stream_id=9)
+    obs = env.reset([entropy])
+    actions, rewards, log_probs = [], [], []
+    while not env.done:
+        probs = agent.actor.forward(obs)[0]
+        a = 1 if stream.uniform() < probs[1] else 0
+        res = env.step([a])
+        np.testing.assert_array_equal(episode.observations[len(actions)], obs[0])
+        actions.append(a)
+        rewards.append(res.reward[0])
+        log_probs.append(np.log(probs[a]))
+        obs = res.observation
+    assert episode.actions.tolist() == actions
+    assert 0 < sum(actions) < cfg.n_days
+    assert episode.rewards.tolist() == rewards
+    assert episode.log_probs.tolist() == log_probs

@@ -144,6 +144,28 @@ def test_zero_replications_is_an_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_nan_tariff_config_is_an_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1), path)
+    path.write_text(path.read_text().replace('"tariff": 0.073', '"tariff": NaN'))
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "nan" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tariff" in err[0]
+
+
+def test_header_only_summary_is_an_error(tmp_path, capsys):
+    (tmp_path / "S1exp_simopt_summary.csv").write_text(
+        "# case=S1exp\ncase,z_star,mean_cleanings,mean_total_cost\n")
+    rc = run(["report", "--dir", tmp_path, "--out", tmp_path])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "S1exp_simopt_summary.csv" in err[0]
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PVCLEAN_OUT_DIR", str(tmp_path))
     rc = run(["eval", "interval:30", "--case", "S1exp", *ARGS,

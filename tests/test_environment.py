@@ -2,7 +2,11 @@
 
 The single-step oracle re-derives one day's transition from the weather
 arrays and the soiling primitives, independently of CleaningEnv.step.
+A default reset starts one replication, so observations are (1, obs_dim)
+and actions, rewards and state are (1,) arrays; tests read replication 0.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from pvclean import soiling as phys
 from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
                                  PRESETS, CleaningEnv, ConfigError,
                                  EpisodeDoneError, ScenarioConfig,
-                                 load_config, preset, save_config, total_cost)
+                                 load_config, preset, save_config)
 from pvclean.weather import KMH_PER_MS, generate_weather, make_streams
 
 SMALL = dict(tariff=0.073, cleaning_cost=0.0183, horizon_years=1)
@@ -35,6 +39,20 @@ def test_config_validation():
         ScenarioConfig(tariff=0.1, cleaning_cost=0.1, normalization_mode="zscore")
     with pytest.raises(ConfigError):
         ScenarioConfig(tariff=0.1, cleaning_cost=0.1, start_month=13)
+
+
+@pytest.mark.parametrize("field, value", [("tariff", float("nan")),
+                                          ("cleaning_cost", float("nan")),
+                                          ("panel_area", float("inf"))])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        preset("S1exp", **{field: value})
+
+
+@pytest.mark.parametrize("field", ["horizon_years", "start_month", "seed"])
+def test_config_rejects_fractional_integers(field):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        preset("S1exp", **{field: 1.5})
 
 
 def test_presets_cover_matrix():
@@ -77,12 +95,27 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(tariff=float("nan")),
+    lambda d: d.update(horizon_years=1.5),
+    lambda d: d["soiling"].update(dust_k=1.0),
+], ids=["nan-tariff", "fractional-horizon", "unknown-soiling-key"])
+def test_load_config_turns_bad_values_into_config_errors(tmp_path, edit):
+    path = tmp_path / "cfg.json"
+    save_config(preset("S1exp"), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))   # json writes NaN as the bare token NaN
+    with pytest.raises(ConfigError, match="cfg.json"):
+        load_config(path)
+
+
 def test_reset_is_deterministic():
     env = CleaningEnv(ScenarioConfig(**SMALL, seed=3))
     obs1 = env.reset()
-    r1 = [env.step(0).reward for _ in range(50)]
-    obs2 = env.reset()
-    r2 = [env.step(0).reward for _ in range(50)]
+    r1 = [env.step([0]).reward[0] for _ in range(50)]
+    obs2 = env.reset([3])
+    r2 = [env.step([0]).reward[0] for _ in range(50)]
     np.testing.assert_array_equal(obs1, obs2)
     assert r1 == r2
 
@@ -92,7 +125,7 @@ def test_single_step_oracle():
     env = CleaningEnv(cfg)
     env.reset()
     weather = generate_weather(env.model, cfg.n_days, make_streams(cfg.seed))
-    res = env.step(0)
+    res = env.step([0])
     ws = weather["wind_speed"][0] / KMH_PER_MS
     d = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"][0]),
                        weather["relative_humidity"][0])
@@ -100,10 +133,10 @@ def test_single_step_oracle():
     eff = phys.efficiency(s, 1.0)
     loss = cfg.tariff * cfg.panel_area * (weather["irradiance"][0] / 1000.0) * (
         cfg.soiling.eff_max - eff)
-    assert res.info["soiling"] == pytest.approx(s, rel=1e-15)
-    assert res.info["energy_loss_cost"] == pytest.approx(loss, rel=1e-12)
-    assert res.reward == pytest.approx(-loss, rel=1e-12)
-    assert res.info["cleaning_cost_incurred"] == 0.0
+    assert res.info["soiling"][0] == pytest.approx(s, rel=1e-15)
+    assert res.info["energy_loss_cost"][0] == pytest.approx(loss, rel=1e-12)
+    assert res.reward[0] == pytest.approx(-loss, rel=1e-12)
+    assert res.info["cleaning_cost_incurred"][0] == 0.0
 
 
 def test_cleaning_resets_soiling_and_charges_cost():
@@ -111,42 +144,51 @@ def test_cleaning_resets_soiling_and_charges_cost():
     env = CleaningEnv(cfg)
     env.reset()
     for _ in range(30):
-        env.step(0)
-    dirty = env.soiling
+        env.step([0])
+    dirty = env.soiling[0]
     assert dirty > cfg.soiling.beta_residue
-    res = env.step(1)
-    assert res.info["cleaning_cost_incurred"] == cfg.cleaning_cost
+    res = env.step([1])
+    assert res.info["cleaning_cost_incurred"][0] == cfg.cleaning_cost
     # Only the cleaning day's fresh deposit remains after the clean.
-    assert env.soiling < dirty
-    assert env.days_since_clean == 1
-    assert env.cumulative_cleanings == 1
+    assert env.soiling[0] < dirty
+    assert env.days_since_clean[0] == 1
+    assert env.cumulative_cleanings[0] == 1
 
 
 def test_days_since_clean_counts_every_morning():
     env = CleaningEnv(ScenarioConfig(**SMALL))
     env.reset()
     for k in range(1, 6):
-        env.step(0)
-        assert env.days_since_clean == k
+        env.step([0])
+        assert env.days_since_clean[0] == k
 
 
 def test_invalid_action_and_done_errors():
     cfg = ScenarioConfig(**SMALL)
     env = CleaningEnv(cfg)
     env.reset()
-    with pytest.raises(ValueError):
-        env.step(2)
+    for bad in (2, [2], 0, [0, 0]):
+        with pytest.raises(ValueError):
+            env.step(bad)
     for _ in range(cfg.n_days):
-        res = env.step(0)
+        res = env.step([0])
     assert res.done
     with pytest.raises(EpisodeDoneError):
-        env.step(0)
+        env.step([0])
     env.reset([1, 2])
     for bad in (0, [0], [0, 2], [0.5, 1]):
         with pytest.raises(ValueError):
             env.step(bad)
     with pytest.raises(ValueError):
         env.reset([])
+
+
+def test_reset_rejects_a_seed_that_is_not_a_list():
+    # list((0, 0, 1)) would quietly start three replications.
+    env = CleaningEnv(ScenarioConfig(**SMALL))
+    for bad in (0, (0, 0, 1)):
+        with pytest.raises(ValueError, match="list"):
+            env.reset(bad)
 
 
 def test_reward_modes_agree_on_episode_total():
@@ -156,28 +198,29 @@ def test_reward_modes_agree_on_episode_total():
     def run(cfg):
         env = CleaningEnv(cfg)
         env.reset()
-        rewards, infos = [], []
+        rewards, day_costs = [], []
         for a in actions:
-            res = env.step(a)
-            rewards.append(res.reward)
-            infos.append(res.info)
-        return rewards, infos, env.cumulative_cost
+            res = env.step([a])
+            rewards.append(res.reward[0])
+            day_costs.append(res.info["energy_loss_cost"][0]
+                             + res.info["cleaning_cost_incurred"][0])
+        return rewards, day_costs, env.cumulative_cost[0]
 
-    r_step, infos, cost = run(base)
+    r_step, day_costs, cost = run(base)
     r_term, _, cost_term = run(
         ScenarioConfig(**{**SMALL, "seed": 9}, reward_mode="terminal"))
     assert cost == pytest.approx(cost_term, rel=1e-15)
     assert sum(r_step) == pytest.approx(-cost, rel=1e-12)
     assert all(r == 0.0 for r in r_term[:-1])
     assert r_term[-1] == pytest.approx(-cost, rel=1e-12)
-    assert total_cost(infos) == pytest.approx(cost, rel=1e-12)
+    assert sum(day_costs) == pytest.approx(cost, rel=1e-12)
 
 
 def test_observation_normalization_modes():
     cfg = ScenarioConfig(**SMALL, seed=2)
     env = CleaningEnv(cfg)
     obs = env.reset()
-    assert obs.shape == (6,)
+    assert obs.shape == (1, 6)
     env10 = CleaningEnv(ScenarioConfig(**SMALL, seed=2, normalization_mode="div10"))
     obs10 = env10.reset()
     scales = [FEATURE_SCALES[k] for k in
@@ -192,19 +235,19 @@ def test_observation_feature_scaled_range():
     env = CleaningEnv(cfg)
     obs = env.reset()
     for day in range(200):
-        v = np.asarray(obs)
+        v = np.asarray(obs[0])
         assert np.all(v >= 0.0)
         # All features except the unbounded days counter stay order-one.
         assert np.all(np.delete(v, 1) < 1.6)
         assert v[1] == pytest.approx(day / 100.0)
-        obs = env.step(0).observation
+        obs = env.step([0]).observation
 
 
 def test_humidity_feature_optional():
     env = CleaningEnv(ScenarioConfig(**SMALL, include_humidity=True))
     obs = env.reset()
-    assert obs.shape == (7,)
-    assert 0.0 < obs[6] <= 1.0
+    assert obs.shape == (1, 7)
+    assert 0.0 < obs[0, 6] <= 1.0
 
 
 def test_degradation_applies_across_years():
@@ -212,9 +255,9 @@ def test_degradation_applies_across_years():
     env = CleaningEnv(cfg)
     env.reset()
     env.day = 365  # second year
-    res = env.step(0)
+    res = env.step([0])
     # Efficiency now carries the tau = 0.95 factor.
-    assert res.info["efficiency"] <= 0.95 * cfg.soiling.eff_max + 1e-12
+    assert res.info["efficiency"][0] <= 0.95 * cfg.soiling.eff_max + 1e-12
 
 
 _ENTROPY = st.one_of(st.integers(0, 2**32),
@@ -228,7 +271,7 @@ _ENTROPY = st.one_of(st.integers(0, 2**32),
                                   {"include_humidity": True}]),
        data=st.data())
 def test_lockstep_replications_match_single_seed_episodes(seeds, overrides, data):
-    """One env stepped in lockstep over R seeds == R single-seed episodes, bit for bit."""
+    """One env stepped in lockstep over R seeds == R one-seed episodes, bit for bit."""
     cfg = ScenarioConfig(**SMALL, **overrides)
     actions = data.draw(arrays(np.int64, (len(seeds), cfg.n_days),
                                elements=st.integers(0, 1)))
@@ -243,11 +286,11 @@ def test_lockstep_replications_match_single_seed_episodes(seeds, overrides, data
 
     for r, seed in enumerate(seeds):
         single = CleaningEnv(cfg)
-        assert np.array_equal(single.reset(seed), observations[0][r])
+        assert np.array_equal(single.reset([seed])[0], observations[0][r])
         for day in range(cfg.n_days):
-            res = single.step(int(actions[r, day]))
-            assert res.reward == rewards[day][r]
-            assert np.array_equal(res.observation, observations[day + 1][r])
-        assert single.cumulative_cost == env.cumulative_cost[r]
-        assert single.cumulative_cleanings == env.cumulative_cleanings[r]
-        assert single.cumulative_cleanings == actions[r].sum()
+            res = single.step(actions[r, day:day + 1])
+            assert res.reward[0] == rewards[day][r]
+            assert np.array_equal(res.observation[0], observations[day + 1][r])
+        assert single.cumulative_cost[0] == env.cumulative_cost[r]
+        assert single.cumulative_cleanings[0] == env.cumulative_cleanings[r]
+        assert single.cumulative_cleanings[0] == actions[r].sum()

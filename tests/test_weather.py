@@ -65,10 +65,16 @@ def test_save_load_round_trip(tmp_path):
     assert load_model(path) == model
 
 
-def test_bundled_model_file_matches_default():
-    from importlib.resources import files
-    path = files("pvclean").joinpath("data/weather_model.csv")
-    assert load_model(str(path)) == default_model()
+@pytest.mark.parametrize("month, variable, family, params", [
+    (1, "temperature", "lognormal", (17.0, 1.16, 0.559)),
+    (2, "irradiance", "beta", (1610.0, 6700.0, 4.96, 2.23)),
+    (3, "irradiance", "johnsonsb", (-8480.0, 16100.0, -2.87, 1.13)),
+    (8, "wind_speed", "lognormal", (-461.0, 6.16, 3.51e-3)),
+    (12, "relative_humidity", "gamma", (0.0, 59.1, 1.06)),
+])
+def test_default_model_pinned_cells(month, variable, family, params):
+    spec = default_model().spec(month, variable)
+    assert (spec.family, spec.params) == (family, params)
 
 
 def test_load_rejects_bad_header(tmp_path):
