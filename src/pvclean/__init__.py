@@ -17,12 +17,12 @@ from .distributions import DistributionSpec, ParameterError
 from .environment import CleaningEnv, ScenarioConfig, preset
 from .rng import RandomStream
 from .soiling import SoilingParams
-from .weather import MonthlyWeatherModel, WeatherDay, default_model
+from .weather import MonthlyWeatherModel, default_model
 
 __all__ = [
     "DistributionSpec", "ParameterError", "CleaningEnv", "ScenarioConfig",
     "preset", "RandomStream", "SoilingParams", "MonthlyWeatherModel",
-    "WeatherDay", "default_model",
+    "default_model",
 ]
 
 __version__ = "0.1.0"

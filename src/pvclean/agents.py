@@ -10,6 +10,7 @@ networks from :mod:`pvclean.nn`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ _SMOOTH_WINDOW = 20
 
 
 class NumericalError(RuntimeError):
-    """A training update produced a non-finite loss."""
+    """Training produced a non-finite episode reward or update loss."""
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,10 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
             return float(-env.cumulative_cost[0])
 
     for ep in range(episodes):
-        reward_curve.append(play(training_entropy(seed, ep)))
+        reward = play(training_entropy(seed, ep))
+        if not math.isfinite(reward):
+            raise NumericalError(f"training episode {ep} has a non-finite reward {reward}")
+        reward_curve.append(reward)
         smoothed = _smoothed(reward_curve)
         if smoothed > best:
             best = smoothed

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, agents.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

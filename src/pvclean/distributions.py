@@ -14,10 +14,13 @@ weather table shipped with the package:
 * ``loglogistic(loc, shape, scale)`` — loc + scale * (U/(1-U)) ** (1/shape)
 
 All normals come from the stream's inverse-CDF transform, so the inverse
-transform families consume exactly one uniform per draw.  Gamma and beta
-are rejection samplers and consume a variable (but deterministic, given the
-stream state) number of uniforms; every weather variable owns its own
-stream, so this never perturbs the other variables' draws.
+transform families consume exactly one uniform per draw (:func:`transform`
+maps uniforms to draws).  Gamma and beta are rejection samplers and consume
+a variable (but deterministic, given the stream state) number of uniforms;
+every weather variable owns its own stream, so this never perturbs the
+other variables' draws.  :func:`sample_cheng` draws a Cheng-BB beta block
+with numpy deciding which attempts are accepted, and equals
+:func:`sample_many` bit for bit.
 
 Samples are clamped to the physical bounds carried by the spec.  Clamping
 (rather than resampling) keeps stream alignment deterministic.
@@ -29,10 +32,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .rng import RandomStream
 
-__all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "sample", "sample_many"]
+__all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
+           "transform", "is_cheng", "sample_cheng", "sample", "sample_many"]
 
 FAMILY_ARITY = {
     "normal": 2,
@@ -45,7 +50,12 @@ FAMILY_ARITY = {
     "johnsonsb": 4,
 }
 
+# Families drawn by an inverse transform of exactly one uniform per value.
+INVERSE_FAMILIES = frozenset(
+    {"normal", "lognormal", "triangular", "weibull", "johnsonsb", "loglogistic"})
+
 _LOG4 = math.log(4.0)
+_LOG5 = math.log(5.0)
 _TINY = 5e-324  # smallest positive subnormal; guards log(0)
 
 
@@ -213,63 +223,149 @@ def _beta_variate(a: float, b: float, stream: RandomStream) -> float:
                 ly = math.log(v) / b
                 m = max(lx, ly)
                 return math.exp(lx - m) / (math.exp(lx - m) + math.exp(ly - m))
-    a0, b0 = min(a, b), max(a, b)
-    alpha = a0 + b0
-    beta = math.sqrt((alpha - 2.0) / (2.0 * a0 * b0 - alpha))
-    gamma = a0 + 1.0 / beta
+    c = _cheng_constants(a, b)
     while True:
         u1 = stream.uniform()
         u2 = max(stream.uniform(), _TINY)
-        if u1 <= 0.0 or u1 >= 1.0:
-            continue
-        v = beta * math.log(u1 / (1.0 - u1))
-        w = a0 * math.exp(v)
-        z = u1 * u1 * u2
-        r = gamma * v - _LOG4
-        s = a0 + r - w
-        if s + 1.0 + math.log(5.0) >= 5.0 * z:
-            break
-        t = math.log(z)
-        if s >= t:
-            break
-        if r + alpha * math.log(alpha / (b0 + w)) >= t:
-            break
+        if _cheng_accept(u1, u2, c):
+            return _cheng_value(u1, a, c)
+
+
+def _cheng_constants(a: float, b: float) -> tuple:
+    """Cheng BB's (a0, b0, alpha, beta, gamma) for shapes min(a, b) > 1."""
+    a0, b0 = min(a, b), max(a, b)
+    alpha = a0 + b0
+    beta = math.sqrt((alpha - 2.0) / (2.0 * a0 * b0 - alpha))
+    return a0, b0, alpha, beta, a0 + 1.0 / beta
+
+
+def _cheng_accept(u1: float, u2: float, c: tuple) -> bool:
+    """Whether Cheng BB accepts the attempt (u1, u2); each attempt takes 2 uniforms."""
+    a0, b0, alpha, beta, gamma = c
+    if u1 <= 0.0 or u1 >= 1.0:
+        return False
+    v = beta * math.log(u1 / (1.0 - u1))
+    w = a0 * math.exp(v)
+    z = u1 * u1 * u2
+    r = gamma * v - _LOG4
+    s = a0 + r - w
+    if s + 1.0 + _LOG5 >= 5.0 * z:
+        return True
+    t = math.log(z) if z > 0.0 else -math.inf
+    return s >= t or r + alpha * math.log(alpha / (b0 + w)) >= t
+
+
+def _cheng_value(u1: float, a: float, c: tuple) -> float:
+    """The beta variate an accepted Cheng BB attempt with first uniform u1 returns."""
+    a0, b0, _, beta, _ = c
+    w = a0 * math.exp(beta * math.log(u1 / (1.0 - u1)))
     return w / (b0 + w) if a == a0 else b0 / (b0 + w)
 
 
-def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
+# numpy's exp and log may differ from math's by an ulp, which moves each
+# term of a Cheng test by far less than this fraction of the terms' size.
+_CHENG_MARGIN = 1e-9
+
+
+def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> np.ndarray:
+    """:func:`_cheng_accept` of every attempt (u1[i], u2[i]), decided by numpy.
+
+    numpy decides an attempt only when each of the three test margins is
+    farther from 0 than ``_CHENG_MARGIN`` of the summed size of all terms;
+    the rest, those with a non-finite margin or size among them, are
+    decided by :func:`_cheng_accept`.
+    """
+    a0, b0, alpha, beta, gamma = c
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = beta * np.log(u1 / (1.0 - u1))
+        w = a0 * np.exp(v)
+        z = u1 * u1 * u2
+        r = gamma * v - _LOG4
+        s = a0 + r - w
+        t = np.log(z)
+        q = alpha * np.log(alpha / (b0 + w))
+        m1, m2, m3 = s + 1.0 + _LOG5 - 5.0 * z, s - t, r + q - t
+        size = ((a0 + alpha + 1.0 + _LOG4 + _LOG5) + np.abs(r) + w + np.abs(t)
+                + np.abs(q) + 5.0 * z)
+        # False for a NaN or infinite margin or size.
+        sure = np.minimum(np.minimum(np.abs(m1), np.abs(m2)), np.abs(m3)) > _CHENG_MARGIN * size
+    accept = (m1 >= 0.0) | (m2 >= 0.0) | (m3 >= 0.0)
+    unsure = np.flatnonzero(~sure)
+    accept[unsure] = [_cheng_accept(x, y, c)
+                      for x, y in zip(u1[unsure].tolist(), u2[unsure].tolist())]
+    return accept
+
+
+def is_cheng(spec: DistributionSpec) -> bool:
+    """Whether ``spec`` is a beta drawn by Cheng BB (both shapes > 1)."""
+    return spec.family == "beta" and min(spec.params[2:]) > 1.0
+
+
+def sample_cheng(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
+    """``n`` clamped draws of a Cheng-BB beta spec, identical to :func:`sample_many`.
+
+    Peeks at a block of attempts (2 uniforms each, about 2.7 n + 4 in all,
+    doubled while it holds fewer than ``n`` acceptances), lets numpy find
+    the first ``n`` accepted attempts, and skips the stream past the
+    uniforms they used, so it ends where the draws one by one would leave
+    it.  The variates come from the scalar expression of
+    :func:`_beta_variate`.
+    """
+    if not is_cheng(spec):
+        raise ParameterError(f"not a Cheng-BB beta: {spec}")
+    lo, hi, a, b = spec.params
+    c = _cheng_constants(a, b)
+    n = int(n)
+    attempts = n + n // 3 + 2
+    while True:
+        u = stream.peek(2 * attempts)
+        u1 = u[0::2]
+        hits = np.flatnonzero(_cheng_accepts(u1, np.maximum(u[1::2], _TINY), c))[:n]
+        if len(hits) == n:
+            break
+        attempts *= 2
+    stream.skip(2 * int(hits[-1] + 1) if n else 0)
+    x = np.array([_cheng_value(v, a, c) for v in u1[hits].tolist()])
+    return np.clip(lo + (hi - lo) * x, spec.clamp_lo, spec.clamp_hi)
+
+
+def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    """Unclamped draws of an inverse-transform family, one per uniform in ``u``."""
     fam, p = spec.family, spec.params
     if fam == "normal":
         mu, sigma = p
-        return mu + sigma * stream.standard_normals(n)
+        return mu + sigma * ndtri(u)
     if fam == "lognormal":
         loc, mu, sigma = p
-        return loc + np.exp(mu + sigma * stream.standard_normals(n))
+        return loc + np.exp(mu + sigma * ndtri(u))
     if fam == "triangular":
         lo, hi, mode = p
-        u = stream.uniforms(n)
         c = (mode - lo) / (hi - lo)
         left = lo + np.sqrt(u * c) * (hi - lo)
         right = hi - np.sqrt((1.0 - u) * (1.0 - c)) * (hi - lo)
         return np.where(u < c, left, right)
     if fam == "weibull":
         loc, shape, scale = p
-        u = np.maximum(stream.uniforms(n), _TINY)
-        return loc + scale * (-np.log(u)) ** (1.0 / shape)
+        return loc + scale * (-np.log(np.maximum(u, _TINY))) ** (1.0 / shape)
+    if fam == "johnsonsb":
+        loc, rng, d, xi = p
+        return loc + rng / (1.0 + np.exp(-(ndtri(u) - d) / xi))
+    if fam == "loglogistic":
+        loc, shape, scale = p
+        return loc + scale * (u / (1.0 - u)) ** (1.0 / shape)
+    raise ParameterError(f"{fam} is not an inverse-transform family")
+
+
+def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
+    fam, p = spec.family, spec.params
+    if fam in INVERSE_FAMILIES:
+        return transform(spec, stream.uniforms(n))
     if fam == "gamma":
         loc, scale, shape = p
         return loc + scale * np.array([_gamma_variate(shape, stream) for _ in range(n)])
     if fam == "beta":
         lo, hi, a, b = p
         return lo + (hi - lo) * np.array([_beta_variate(a, b, stream) for _ in range(n)])
-    if fam == "johnsonsb":
-        loc, rng, d, xi = p
-        z = stream.standard_normals(n)
-        return loc + rng / (1.0 + np.exp(-(z - d) / xi))
-    if fam == "loglogistic":
-        loc, shape, scale = p
-        u = stream.uniforms(n)
-        return loc + scale * (u / (1.0 - u)) ** (1.0 / shape)
     raise ParameterError(f"unknown family {fam!r}")  # pragma: no cover
 
 

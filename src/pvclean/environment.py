@@ -97,6 +97,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown normalization_mode {self.normalization_mode!r}")
         if not 1 <= self.start_month <= 12:
             raise ConfigError(f"start_month must be in 1..12: {self.start_month}")
+        if not isinstance(self.include_humidity, (bool, np.bool_)):
+            raise ConfigError(f"include_humidity must be true or false: {self.include_humidity!r}")
 
     @property
     def n_days(self) -> int:
@@ -161,6 +163,8 @@ def load_config(path) -> ScenarioConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     try:
         sp = data.pop("soiling", None)
         if sp is not None:

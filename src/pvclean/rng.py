@@ -71,6 +71,21 @@ class RandomStream:
         self.counter += int(n)
         return self._gen.random(int(n))
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, leaving the stream where it was."""
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        u = self._gen.random(int(n))
+        bitgen.state = state
+        return u
+
+    def skip(self, n: int) -> None:
+        """Consume ``n`` uniforms without drawing them, as ``uniforms(n)`` would."""
+        # PCG64 makes one 64-bit output per double, so advancing n outputs
+        # lands where n draws would.
+        self._gen.bit_generator.advance(int(n))
+        self.counter += int(n)
+
     def standard_normal(self) -> float:
         """One standard normal via inverse-CDF; consumes one uniform."""
         return float(ndtri(self.uniform()))

@@ -8,7 +8,9 @@ accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -34,12 +36,21 @@ class SoilingParams:
     cubic: tuple = (-0.0026, 0.032, -0.1369)
 
     def __post_init__(self):
+        if not _finite_number(self.humidity_k):
+            raise ValueError(f"humidity_k must be a finite number: {self.humidity_k!r}")
+        if not (isinstance(self.cubic, tuple) and len(self.cubic) == 3
+                and all(map(_finite_number, self.cubic))):
+            raise ValueError(f"cubic must be a tuple of three finite numbers: {self.cubic!r}")
         if not 0.0 <= self.annual_degradation < 1.0:
             raise ValueError(f"annual_degradation must be in [0, 1): {self.annual_degradation}")
-        if self.beta_residue <= 0.0:
-            raise ValueError(f"beta_residue must be > 0: {self.beta_residue}")
+        if not (_finite_number(self.beta_residue) and self.beta_residue > 0.0):
+            raise ValueError(f"beta_residue must be finite and > 0: {self.beta_residue!r}")
         if not 0.0 < self.eff_max <= 1.0:
             raise ValueError(f"eff_max must be in (0, 1]: {self.eff_max}")
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def daily_soiling(wind_speed, particulate_matter):

@@ -14,18 +14,18 @@ throughout, so a 20-year horizon is exactly 7300 days.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample, sample_many
+from .distributions import (INVERSE_FAMILIES, DistributionSpec, is_cheng,
+                            sample_cheng, sample_many, transform)
 from .rng import RandomStream
 
 __all__ = [
-    "VARIABLES", "CLAMPS", "KMH_PER_MS", "WeatherDay", "MonthlyWeatherModel",
+    "VARIABLES", "CLAMPS", "KMH_PER_MS", "MonthlyWeatherModel",
     "default_model", "load_model", "save_model", "make_streams",
-    "sample_day", "generate_weather", "stack_weather", "month_of_day", "MONTH_LENGTHS",
+    "generate_weather", "stack_weather", "month_of_day", "MONTH_LENGTHS",
     "ModelFormatError",
 ]
 
@@ -45,25 +45,14 @@ CLAMPS = {
 }
 
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# The month (1..12) of each day of a year that starts in January, and the
+# day of that year on which each month starts.
+_YEAR_MONTHS = np.repeat(np.arange(1, 13), MONTH_LENGTHS)
+_MONTH_STARTS = np.cumsum((0,) + MONTH_LENGTHS[:-1])
 
 
 class ModelFormatError(ValueError):
     """Weather model file failed to parse or validate."""
-
-
-@dataclass(frozen=True)
-class WeatherDay:
-    """One day's weather draw (all fields already clamped).
-
-    ``wind_speed`` is in km/h as fitted; divide by :data:`KMH_PER_MS` for
-    the m/s value the deposition law expects.
-    """
-
-    temperature: float
-    wind_speed: float
-    particulate_matter: float
-    irradiance: float
-    relative_humidity: float
 
 
 class MonthlyWeatherModel:
@@ -141,45 +130,58 @@ def make_streams(seed, base_stream_id: int = 0) -> dict:
             for i, var in enumerate(VARIABLES)}
 
 
-def sample_day(model: MonthlyWeatherModel, month: int, streams: dict) -> WeatherDay:
-    """Draw one clamped value per variable from ``month``'s specs."""
-    if not 1 <= month <= 12:
-        raise ValueError(f"month must be in 1..12, got {month}")
-    values = {var: sample(model.spec(month, var), streams[var]) for var in VARIABLES}
-    return WeatherDay(**values)
-
-
-def month_of_day(day_index: int, start_month: int = 1) -> int:
-    """Calendar month (1..12) of a 0-based simulation day."""
-    day = day_index % 365
-    month = start_month - 1
-    while True:
-        if day < MONTH_LENGTHS[month % 12]:
-            return month % 12 + 1
-        day -= MONTH_LENGTHS[month % 12]
-        month += 1
+def month_of_day(day_index, start_month: int = 1):
+    """Calendar month (1..12) of a 0-based simulation day, or of an array of them."""
+    return _YEAR_MONTHS[(day_index + _MONTH_STARTS[(start_month - 1) % 12]) % 365]
 
 
 def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: dict,
                      start_month: int = 1) -> dict:
     """Draw ``n_days`` of weather as one array per variable.
 
-    Draw-for-draw identical to calling :func:`sample_day` for each day in
-    order (each variable's stream advances day by day).
+    Draw-for-draw identical to drawing each day in order with
+    :func:`~pvclean.distributions.sample` from that day's month: the same
+    values, and every stream left with the same ``counter`` and the same
+    next uniform.  Each variable draws its whole trajectory at once: each
+    maximal stretch of inverse-transform days takes one ``uniforms`` call,
+    a Cheng-beta month goes through
+    :func:`~pvclean.distributions.sample_cheng` and any other month (gamma,
+    Johnk beta) through ``sample_many``.
+
+    Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
+    ``math``'s by an ulp, so numpy may only classify (which rejection
+    attempts are accepted).  Every returned value comes from the expression
+    the per-day path uses: the numpy inverse transforms, and the scalar
+    ``math`` code of the rejection samplers.
     """
-    months = np.array([month_of_day(d, start_month) for d in range(n_days)])
-    out = {var: np.empty(n_days) for var in VARIABLES}
-    # Contiguous same-month runs keep the per-variable draw order intact.
-    start = 0
-    while start < n_days:
-        end = start
-        while end < n_days and months[end] == months[start]:
-            end += 1
-        m = int(months[start])
-        for var in VARIABLES:
-            out[var][start:end] = sample_many(model.spec(m, var), streams[var], end - start)
-        start = end
-    return out
+    months = month_of_day(np.arange(n_days), start_month)
+    return {var: _trajectory([model.spec(m, var) for m in range(1, 13)],
+                             months, streams[var])
+            for var in VARIABLES}
+
+
+def _trajectory(specs: list, months: np.ndarray, stream: RandomStream) -> np.ndarray:
+    """One variable's clamped draws for the days of ``months`` (1..12 each)."""
+    inverse = np.array([spec.family in INVERSE_FAMILIES for spec in specs])
+    # Stretch key: 0 on inverse-transform days, the month on the others, so
+    # consecutive inverse-transform months make one stretch.
+    key = np.where(inverse[months - 1], 0, months)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    x = np.empty(len(months))
+    u = np.empty(len(months))  # the uniforms of the inverse-transform days
+    for start, stop in zip(starts, [*starts[1:], len(months)]):
+        if key[start] == 0:
+            u[start:stop] = stream.uniforms(stop - start)
+        else:
+            spec = specs[key[start] - 1]
+            draw = sample_cheng if is_cheng(spec) else sample_many
+            x[start:stop] = draw(spec, stream, stop - start)
+    for m in np.flatnonzero(inverse) + 1:
+        days = months == m
+        if days.any():
+            spec = specs[m - 1]
+            x[days] = np.clip(transform(spec, u[days]), spec.clamp_lo, spec.clamp_hi)
+    return x
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,

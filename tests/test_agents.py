@@ -229,6 +229,13 @@ def test_sac_short_training_runs():
     assert all(np.isfinite(list(d.values())).all() for d in res.loss_history)
 
 
+@pytest.mark.parametrize("kind", ["ppo", "sac"])
+def test_train_fails_on_a_non_finite_episode_reward(kind, nan_rewards):
+    agent_config = agents.SACConfig(hidden=16) if kind == "sac" else None
+    with pytest.raises(agents.NumericalError):
+        train(kind, ScenarioConfig(**SMALL), episodes=2, agent_config=agent_config)
+
+
 def test_best_net_tracks_best_smoothed_reward():
     cfg = ScenarioConfig(**SMALL, seed=4)
     res = train("ppo", cfg, episodes=3, seed=1)

@@ -1,5 +1,7 @@
 """CLI subcommands: outputs, determinism, and error handling."""
 
+import re
+
 import pytest
 
 from pvclean.cli import main
@@ -172,3 +174,43 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
               "--episodes", "1"])
     assert rc == 0
     assert (tmp_path / "S1exp_eval_summary.csv").exists()
+
+
+def config_error(tmp_path, capsys, edit):
+    """Run ``eval`` on a config file changed by ``edit``; return stderr lines."""
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1), path)
+    path.write_text(edit(path.read_text()))
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    return err[0]
+
+
+def test_string_include_humidity_config_is_an_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, lambda text: text.replace(
+        '"include_humidity": false', '"include_humidity": "no"'))
+    assert "include_humidity" in err
+
+
+def test_list_config_is_an_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, lambda text: f"[{text}]")
+    assert err.endswith("config must be a JSON object")
+
+
+def test_short_cubic_config_is_an_error(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, lambda text: re.sub(
+        r'"cubic": \[[^\]]*\]', '"cubic": [-0.0026]', text))
+    assert "cubic" in err
+
+
+def test_nan_training_reward_is_an_error(tmp_path, capsys, nan_rewards):
+    rc = run(["train", "sac", "--case", "S1exp", *ARGS, "--episodes", "1", "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite reward" in err[0]
+    assert not list(tmp_path.iterdir())

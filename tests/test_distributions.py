@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pvclean.distributions import (DistributionSpec, ParameterError, sample,
-                                   sample_many)
+from pvclean import distributions
+from pvclean.distributions import (DistributionSpec, ParameterError, _cheng_accept,
+                                   _cheng_accepts, _cheng_constants, is_cheng, sample,
+                                   sample_cheng, sample_many)
 from pvclean.rng import RandomStream
+from pvclean.weather import VARIABLES, default_model
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -204,3 +207,102 @@ def test_rejection_samplers_are_reproducible():
                  DistributionSpec("beta", (0.0, 73.0, 5.98, 1.74))):
         np.testing.assert_array_equal(draws(spec, 500, seed=31),
                                       draws(spec, 500, seed=31))
+
+
+# -- Cheng BB: numpy classification and speculative blocks ------------------
+
+_MODEL = default_model()
+_DEFAULT_CHENG = [_MODEL.spec(m, var) for m in range(1, 13) for var in VARIABLES
+                  if is_cheng(_MODEL.spec(m, var))]
+_TOP = 1.0 - 2.0 ** -53  # the largest uniform a stream returns
+
+
+def test_default_model_has_five_cheng_cells():
+    assert len(_DEFAULT_CHENG) == 5
+
+
+def accept_boundary(c, u1):
+    """The adjacent u2 floats between which _cheng_accept(u1, u2) turns false.
+
+    Acceptance means z = u1*u1*u2 is small enough, so it is monotone in u2;
+    bisect over the ordered bit patterns of the positive floats.
+    """
+    lo, hi = np.float64(5e-324).view(np.int64), np.float64(_TOP).view(np.int64)
+    if not _cheng_accept(u1, float(lo.view(np.float64)), c) or _cheng_accept(u1, _TOP, c):
+        return []
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cheng_accept(u1, float(mid.view(np.float64)), c):
+            lo = mid
+        else:
+            hi = mid
+    return [float(lo.view(np.float64)), float(hi.view(np.float64))]
+
+
+@pytest.mark.parametrize("spec", _DEFAULT_CHENG, ids=lambda s: f"beta{s.params[2:]}")
+def test_cheng_classifier_matches_scalar_accept(spec, monkeypatch):
+    c = _cheng_constants(*spec.params[2:])
+    u = RandomStream(41).uniforms(200_000)
+    u1, u2 = list(u[0::2]), list(np.maximum(u[1::2], 5e-324))
+    edges = [0.0, 5e-324, 2.0 ** -53, 0.5, _TOP]
+    for x in edges:
+        for y in edges[1:]:
+            u1.append(x)
+            u2.append(y)
+    boundary = []
+    for x in RandomStream(43).uniforms(50):
+        boundary += [(float(x), y) for y in accept_boundary(c, float(x))]
+    assert len(boundary) >= 20
+    u1 += [x for x, _ in boundary]
+    u2 += [y for _, y in boundary]
+    expect = np.array([_cheng_accept(x, y, c) for x, y in zip(u1, u2)])
+    assert expect.any() and not expect.all()
+
+    rechecked = set()
+
+    def scalar(x, y, c):
+        rechecked.add((x, y))
+        return _cheng_accept(x, y, c)
+
+    monkeypatch.setattr(distributions, "_cheng_accept", scalar)
+    got = _cheng_accepts(np.array(u1), np.array(u2), c)
+    assert np.array_equal(got, expect)
+    # Pairs one ulp either side of the decision are left to the scalar test,
+    # and numpy decides nearly all the random ones itself.
+    assert set(boundary) <= rechecked
+    assert len(rechecked) <= len(boundary) + 4 * len(edges) + 10
+
+
+@pytest.mark.parametrize("params", [(4.96, 2.23), (2.23, 4.96), (3.0, 3.0), (1.001, 1000.0)])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 500])
+def test_sample_cheng_equals_sample_many(params, n):
+    spec = DistributionSpec("beta", (10.0, 90.0, *params), clamp_lo=12.0, clamp_hi=88.0)
+    for seed in range(3):
+        block, one_by_one = RandomStream(seed), RandomStream(seed)
+        x = sample_cheng(spec, block, n)
+        assert x.tobytes() == sample_many(spec, one_by_one, n).tobytes()
+        assert block.counter == one_by_one.counter
+        assert block.uniform() == one_by_one.uniform()
+
+
+def test_sample_cheng_extends_a_short_block():
+    # About two in three attempts are accepted here, so the first block of
+    # 2 * (n + n // 3 + 2) uniforms often holds fewer than n acceptances.
+    spec = DistributionSpec("beta", (0.0, 1.0, 1.001, 1000.0))
+    extended = 0
+    for n in (1, 300):
+        for seed in range(20):
+            block, one_by_one = RandomStream(seed), RandomStream(seed)
+            x = sample_cheng(spec, block, n)
+            assert x.tobytes() == sample_many(spec, one_by_one, n).tobytes()
+            assert block.counter == one_by_one.counter
+            assert block.uniform() == one_by_one.uniform()
+            extended += one_by_one.counter > 2 * (n + n // 3 + 2)
+    assert extended >= 10
+
+
+@pytest.mark.parametrize("spec", [DistributionSpec("beta", (0.0, 1.0, 0.6, 3.0)),
+                                  DistributionSpec("gamma", (0.0, 1.0, 2.0))])
+def test_sample_cheng_rejects_other_specs(spec):
+    with pytest.raises(ParameterError):
+        sample_cheng(spec, RandomStream(0), 3)

@@ -55,6 +55,12 @@ def test_config_rejects_fractional_integers(field):
         preset("S1exp", **{field: 1.5})
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_config_requires_a_bool_include_humidity(value):
+    with pytest.raises(ConfigError, match="include_humidity"):
+        preset("S1exp", include_humidity=value)
+
+
 def test_presets_cover_matrix():
     assert len(PRESETS) == 10
     assert preset("S1exp").tariff == 0.073
@@ -99,7 +105,11 @@ def test_load_config_rejects_bad_json(tmp_path):
     lambda d: d.update(tariff=float("nan")),
     lambda d: d.update(horizon_years=1.5),
     lambda d: d["soiling"].update(dust_k=1.0),
-], ids=["nan-tariff", "fractional-horizon", "unknown-soiling-key"])
+    lambda d: d.update(include_humidity="no"),
+    lambda d: d["soiling"].update(cubic=[-0.0026]),
+    lambda d: d["soiling"].update(humidity_k=float("nan")),
+], ids=["nan-tariff", "fractional-horizon", "unknown-soiling-key", "string-humidity-flag",
+        "short-cubic", "nan-humidity-k"])
 def test_load_config_turns_bad_values_into_config_errors(tmp_path, edit):
     path = tmp_path / "cfg.json"
     save_config(preset("S1exp"), path)
@@ -107,6 +117,13 @@ def test_load_config_turns_bad_values_into_config_errors(tmp_path, edit):
     edit(data)
     path.write_text(json.dumps(data))   # json writes NaN as the bare token NaN
     with pytest.raises(ConfigError, match="cfg.json"):
+        load_config(path)
+
+
+def test_load_config_rejects_a_list(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="cfg.json: config must be a JSON object"):
         load_config(path)
 
 

@@ -79,3 +79,15 @@ def test_stream_sequence_is_statistically_uniform():
     # Var[sample variance] = (mu4 - sigma^4)/n for the uniform law.
     se_var = np.sqrt((1 / 80 - 1 / 144) / len(u))
     assert abs(u.var() - 1 / 12) < 4 * se_var
+
+
+def test_peek_leaves_the_stream_and_skip_equals_drawing():
+    a, b = RandomStream(7, 2), RandomStream(7, 2)
+    a.uniforms(3)
+    b.uniforms(3)
+    ahead = a.peek(10)
+    assert a.counter == 3
+    np.testing.assert_array_equal(ahead, b.uniforms(10))
+    a.skip(10)
+    assert a.counter == b.counter == 13
+    assert a.uniform() == b.uniform()

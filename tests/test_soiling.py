@@ -18,6 +18,22 @@ def test_params_validation():
         SoilingParams(eff_max=0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"beta_residue": float("nan")},
+    {"humidity_k": float("nan")},
+    {"humidity_k": float("inf")},
+    {"humidity_k": "0.06"},
+    {"cubic": (-0.0026, 0.032)},
+    {"cubic": (-0.0026, 0.032, -0.1369, 0.0)},
+    {"cubic": (-0.0026, float("nan"), -0.1369)},
+    {"cubic": (-0.0026, "0.032", -0.1369)},
+    {"cubic": [-0.0026, 0.032, -0.1369]},
+])
+def test_params_reject_non_finite_values_and_bad_cubic(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        SoilingParams(**fields)
+
+
 def test_daily_soiling_values():
     assert daily_soiling(0.0, 0.0) == pytest.approx(0.0152640, abs=TOL)
     assert daily_soiling(0.0, 0.1) == pytest.approx(0.00144 * (10.6 + 24.7), abs=TOL)

@@ -1,14 +1,51 @@
-"""Weather model: calendar, grid validation, persistence, sampling."""
+"""Weather model: calendar, grid validation, persistence, sampling.
+
+``sample_day`` below is the per-day reference: it draws each variable one
+value at a time with ``distributions.sample``.  ``generate_weather`` must
+equal it bit for bit, in values and in where it leaves every stream.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvclean.distributions import DistributionSpec
+from pvclean.distributions import DistributionSpec, sample
 from pvclean.weather import (CLAMPS, MONTH_LENGTHS, VARIABLES,
                              ModelFormatError, MonthlyWeatherModel,
                              default_model, generate_weather, load_model,
-                             make_streams, month_of_day, sample_day,
-                             save_model)
+                             make_streams, month_of_day, save_model)
+
+
+@dataclass(frozen=True)
+class WeatherDay:
+    """One day's weather draw (all fields already clamped)."""
+
+    temperature: float
+    wind_speed: float
+    particulate_matter: float
+    irradiance: float
+    relative_humidity: float
+
+
+def sample_day(model: MonthlyWeatherModel, month: int, streams: dict) -> WeatherDay:
+    """Draw one clamped value per variable from ``month``'s specs."""
+    if not 1 <= month <= 12:
+        raise ValueError(f"month must be in 1..12, got {month}")
+    return WeatherDay(**{var: sample(model.spec(month, var), streams[var])
+                         for var in VARIABLES})
+
+
+def walk_month(day_index, start_month=1):
+    """Month of a 0-based day by walking the calendar month by month."""
+    day = day_index % 365
+    month = start_month - 1
+    while day >= MONTH_LENGTHS[month % 12]:
+        day -= MONTH_LENGTHS[month % 12]
+        month += 1
+    return month % 12 + 1
 
 
 def test_month_lengths_sum_to_365():
@@ -24,6 +61,14 @@ def test_month_of_day_oracle():
     # Years repeat.
     assert month_of_day(365) == 1
     assert month_of_day(365 + 31) == 2
+
+
+@pytest.mark.parametrize("start_month", range(1, 13))
+def test_month_of_day_matches_calendar_walk(start_month):
+    days = np.arange(800)
+    expect = [walk_month(d, start_month) for d in days]
+    assert [month_of_day(int(d), start_month) for d in days] == expect
+    assert month_of_day(days, start_month).tolist() == expect
 
 
 def test_month_of_day_start_month_shift():
@@ -132,25 +177,83 @@ def test_sample_day_rejects_bad_month():
         sample_day(default_model(), 0, make_streams(0))
 
 
+def per_day_weather(model, n_days, entropy, start_month=1):
+    """The reference: ``n_days`` of :func:`sample_day`, and the streams after."""
+    streams = make_streams(entropy)
+    days = [sample_day(model, walk_month(d, start_month), streams) for d in range(n_days)]
+    return {var: np.array([getattr(day, var) for day in days]) for var in VARIABLES}, streams
+
+
+def assert_same_draws(model, n_days, entropy, start_month):
+    streams = make_streams(entropy)
+    arrays = generate_weather(model, n_days, streams, start_month)
+    expect, oracle = per_day_weather(model, n_days, entropy, start_month)
+    for var in VARIABLES:
+        assert arrays[var].tobytes() == expect[var].tobytes(), var
+        assert streams[var].counter == oracle[var].counter, var
+        assert streams[var].uniform() == oracle[var].uniform(), var
+
+
 def test_generate_weather_matches_per_day_sampling():
-    model = default_model()
-    n_days = 400  # spans a year boundary
-    arrays = generate_weather(model, n_days, make_streams(5))
-    streams = make_streams(5)
-    for d in range(n_days):
-        day = sample_day(model, month_of_day(d), streams)
-        for var in VARIABLES:
-            assert arrays[var][d] == getattr(day, var)
+    assert_same_draws(default_model(), 400, 5, 1)  # spans a year boundary
 
 
 def test_generate_weather_start_month():
-    model = default_model()
-    arrays = generate_weather(model, 60, make_streams(8), start_month=12)
-    streams = make_streams(8)
-    for d in range(60):
-        day = sample_day(model, month_of_day(d, start_month=12), streams)
-        for var in VARIABLES:
-            assert arrays[var][d] == getattr(day, var)
+    assert_same_draws(default_model(), 60, 8, 12)
+
+
+def synthetic_model():
+    """Every family and every kind of month boundary, on the default clamps.
+
+    temperature uses the six inverse-transform families only; wind speed
+    mixes a Johnk beta, gamma with shape < 1 and >= 1, and two adjacent
+    Cheng months; irradiance alternates Cheng betas (a < b, a > b, a == b)
+    with inverse months; humidity has no inverse-transform month at all.
+    """
+    inverse = [("normal", (30.0, 3.0)), ("lognormal", (10.0, 2.0, 0.5)),
+               ("triangular", (18.0, 31.6, 22.2)), ("weibull", (5.0, 2.5, 20.0)),
+               ("johnsonsb", (0.0, 50.0, -0.6, 1.9)), ("loglogistic", (0.0, 8.0, 30.0))]
+    cells = {
+        "temperature": inverse + inverse[::-1],
+        "wind_speed": [("beta", (0.0, 60.0, 0.6, 0.9)), ("gamma", (0.0, 10.0, 0.5)),
+                       ("lognormal", (3.77, 1.82, 0.672)), ("beta", (0.0, 108.0, 4.96, 2.23)),
+                       ("beta", (0.0, 50.0, 1.5, 50.0)), ("gamma", (2.0, 5.0, 2.5)),
+                       ("normal", (20.0, 5.0)), ("beta", (0.0, 40.0, 1.0, 3.0)),
+                       ("gamma", (0.0, 40.0, 0.3)), ("weibull", (0.0, 1.5, 20.0)),
+                       ("loglogistic", (0.0, 4.0, 15.0)), ("beta", (0.0, 90.0, 2.0, 2.0))],
+        "particulate_matter": [("lognormal", (0.0, -2.0, 0.8))] * 12,
+        "irradiance": [("beta", (1610.0, 6700.0, 4.96, 2.23)),
+                       ("weibull", (1930.0, 4.79, 2700.0)),
+                       ("beta", (1000.0, 8000.0, 2.23, 4.96)), ("normal", (5000.0, 900.0)),
+                       ("beta", (0.0, 9000.0, 3.0, 3.0)),
+                       ("johnsonsb", (0.0, 9000.0, -0.5, 1.2))] * 2,
+        "relative_humidity": [("gamma", (0.0, 59.1, 1.06)), ("beta", (0.0, 98.8, 10.2, 6.35)),
+                              ("beta", (0.0, 100.0, 0.7, 0.7)), ("gamma", (0.0, 30.0, 0.6)),
+                              ("beta", (0.0, 73.0, 5.98, 1.74)),
+                              ("beta", (0.0, 77.1, 4.51, 3.15))] * 2,
+    }
+    return MonthlyWeatherModel({
+        (m, var): DistributionSpec(family, params, *CLAMPS[var])
+        for var, row in cells.items() for m, (family, params) in enumerate(row, start=1)})
+
+
+_ENTROPY = st.one_of(st.integers(0, 2**32),
+                     st.tuples(st.integers(0, 9), st.integers(0, 1), st.integers(0, 99)))
+
+
+@pytest.mark.parametrize("model", [default_model(), synthetic_model()],
+                         ids=["default", "synthetic"])
+@settings(max_examples=30, deadline=None)
+@given(entropy=_ENTROPY, start_month=st.integers(1, 12), n_days=st.integers(1, 800))
+def test_generate_weather_equals_per_day_oracle(model, entropy, start_month, n_days):
+    assert_same_draws(model, n_days, entropy, start_month)
+
+
+def test_generate_weather_no_days():
+    streams = make_streams(0)
+    arrays = generate_weather(default_model(), 0, streams)
+    assert all(arrays[var].shape == (0,) for var in VARIABLES)
+    assert all(s.counter == 0 for s in streams.values())
 
 
 def test_generate_weather_deterministic():
