@@ -128,7 +128,11 @@ def cmd_train(args) -> int:
 
 def _load_policy(spec: str, cfg: ScenarioConfig):
     if spec.startswith("interval:"):
-        return agents.FixedIntervalPolicy(int(spec.split(":", 1)[1]), cfg)
+        try:
+            z = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"{spec!r}: interval:Z needs an integer Z") from None
+        return agents.FixedIntervalPolicy(z, cfg)
     return agents.GreedyPolicy(load_net(spec))
 
 

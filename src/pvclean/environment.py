@@ -87,8 +87,9 @@ class ScenarioConfig:
         if self.panel_area <= 0:
             raise ConfigError(f"panel_area must be > 0: {self.panel_area}")
         for name in ("horizon_years", "start_month", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer: {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer: {value!r}")
         if self.horizon_years < 1:
             raise ConfigError(f"horizon_years must be >= 1: {self.horizon_years}")
         if self.reward_mode not in ("per_step", "terminal"):
@@ -99,6 +100,11 @@ class ScenarioConfig:
             raise ConfigError(f"start_month must be in 1..12: {self.start_month}")
         if not isinstance(self.include_humidity, (bool, np.bool_)):
             raise ConfigError(f"include_humidity must be true or false: {self.include_humidity!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string: {self.name!r}")
+        if not (self.weather_model_path is None or isinstance(self.weather_model_path, str)):
+            raise ConfigError(
+                f"weather_model_path must be a string or null: {self.weather_model_path!r}")
 
     @property
     def n_days(self) -> int:

@@ -5,8 +5,9 @@ the mean total cost over replicated Monte-Carlo episodes.  Replication r
 always uses the same sub-seed regardless of z (common random numbers), so
 the cost curve is smooth and bit-reproducible for a fixed base seed.
 
-The evaluator is vectorized across replications and days.  It shares the
-per-day deposition, price and age arrays (:func:`pvclean.environment.day_arrays`)
+The evaluator scores one replication at a time, vectorized over its days,
+in work arrays small enough to stay in cache.  It shares the per-day
+deposition, price and age arrays (:func:`pvclean.environment.day_arrays`)
 with ``CleaningEnv`` but accumulates soiling in closed form, so the two
 routes agree to rounding.
 """
@@ -50,31 +51,56 @@ def precompute_weather(config: ScenarioConfig, replications: int) -> dict:
 
 def _episode_costs(z: int, config: ScenarioConfig, weather: dict,
                    days: dict | None = None):
-    """Fixed-interval episodes, vectorized over replications and days.
+    """Fixed-interval episodes, one replication at a time, vectorized over days.
 
     Cleaning happens on mornings z, 2z, ... (days-since-clean reaches z),
     so each inter-cleaning segment starts from a fresh panel.  Within a
     segment the floored accumulation s_u = max(s_{u-1} + d_u, beta) has the
     closed form s_u = max(C_u, beta + C_u - min_{j<=u} C_j) with C the
     deposition prefix sum, which vectorizes across whole segments.
+
+    A replication's (n_seg, z) arrays fit in cache, so its whole pass runs
+    in three work arrays reused for every replication.  The operations,
+    their operand order and the summation are those of the whole-array
+    expression ``(price * max(tau * (c3*s**3 + c2*s**2 + c1*s + eff_max), 0))
+    .sum(axis=(1, 2))`` over (replications, n_seg, z), which the tests keep
+    as the reference, so every cost equals it bit for bit.
     """
     sp = config.soiling
     if days is None:
         days = day_arrays(config, weather)
     n_reps, n_days = days["d_cal"].shape
     n_seg = -(-n_days // z)
-    pad = n_seg * z - n_days
+    shape = (n_seg, z)
 
-    d = np.pad(days["d_cal"], ((0, 0), (0, pad))).reshape(n_reps, n_seg, z)
-    prefix = np.cumsum(d, axis=2)
-    running_min = np.minimum.accumulate(prefix, axis=2)
-    soil = np.maximum(prefix, sp.beta_residue + prefix - running_min)
-
-    tau = np.pad(days["tau"], (0, pad)).reshape(1, n_seg, z)
+    d = np.zeros(n_seg * z)
+    price = np.zeros(n_seg * z)
+    tau = np.pad(days["tau"], (0, n_seg * z - n_days)).reshape(shape)
     c3, c2, c1 = sp.cubic
-    eff = np.maximum(tau * (c3 * soil ** 3 + c2 * soil ** 2 + c1 * soil + sp.eff_max), 0.0)
-    price = np.pad(days["price"], ((0, 0), (0, pad))).reshape(n_reps, n_seg, z)
-    energy_loss = days["clean_panel_loss"] - (price * eff).sum(axis=(1, 2))
+    soil, poly, term = np.empty(shape), np.empty(shape), np.empty(shape)
+    earned = np.empty(n_reps)
+    for r in range(n_reps):
+        d[:n_days] = days["d_cal"][r]
+        price[:n_days] = days["price"][r]
+        np.cumsum(d.reshape(shape), axis=1, out=soil)
+        np.minimum.accumulate(soil, axis=1, out=term)
+        np.add(sp.beta_residue, soil, out=poly)
+        np.subtract(poly, term, out=poly)
+        np.maximum(soil, poly, out=soil)
+
+        np.power(soil, 3, out=poly)
+        np.multiply(c3, poly, out=poly)
+        np.square(soil, out=term)
+        np.multiply(c2, term, out=term)
+        np.add(poly, term, out=poly)
+        np.multiply(c1, soil, out=term)
+        np.add(poly, term, out=poly)
+        np.add(poly, sp.eff_max, out=poly)
+        np.multiply(tau, poly, out=poly)
+        np.maximum(poly, 0.0, out=poly)
+        np.multiply(price.reshape(shape), poly, out=poly)
+        earned[r] = poly.reshape(1, n_seg, z).sum(axis=(1, 2))[0]
+    energy_loss = days["clean_panel_loss"] - earned
 
     cleanings = n_seg - 1
     return energy_loss, cleanings * config.cleaning_cost, cleanings

@@ -41,12 +41,12 @@ class SoilingParams:
         if not (isinstance(self.cubic, tuple) and len(self.cubic) == 3
                 and all(map(_finite_number, self.cubic))):
             raise ValueError(f"cubic must be a tuple of three finite numbers: {self.cubic!r}")
-        if not 0.0 <= self.annual_degradation < 1.0:
-            raise ValueError(f"annual_degradation must be in [0, 1): {self.annual_degradation}")
+        if not (_finite_number(self.annual_degradation) and 0.0 <= self.annual_degradation < 1.0):
+            raise ValueError(f"annual_degradation must be in [0, 1): {self.annual_degradation!r}")
         if not (_finite_number(self.beta_residue) and self.beta_residue > 0.0):
             raise ValueError(f"beta_residue must be finite and > 0: {self.beta_residue!r}")
-        if not 0.0 < self.eff_max <= 1.0:
-            raise ValueError(f"eff_max must be in (0, 1]: {self.eff_max}")
+        if not (_finite_number(self.eff_max) and 0.0 < self.eff_max <= 1.0):
+            raise ValueError(f"eff_max must be in (0, 1]: {self.eff_max!r}")
 
 
 def _finite_number(x) -> bool:

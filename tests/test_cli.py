@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, and error handling."""
 
+import json
 import re
 
 import pytest
@@ -205,6 +206,27 @@ def test_short_cubic_config_is_an_error(tmp_path, capsys):
     err = config_error(tmp_path, capsys, lambda text: re.sub(
         r'"cubic": \[[^\]]*\]', '"cubic": [-0.0026]', text))
     assert "cubic" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon_years", True), ("start_month", True), ("seed", False),
+    ("annual_degradation", "0.05"), ("eff_max", "0.192"),
+    ("name", 5), ("weather_model_path", ["model.csv"]),
+])
+def test_wrong_typed_config_value_is_an_error(tmp_path, capsys, field, value):
+    def edit(text):
+        data = json.loads(text)
+        (data["soiling"] if field in data["soiling"] else data)[field] = value
+        return json.dumps(data)
+    assert field in config_error(tmp_path, capsys, edit)
+
+
+def test_non_integer_interval_policy_is_an_error(tmp_path, capsys):
+    rc = run(["eval", "interval:abc", "--case", "S1exp", *ARGS, "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        "error: 'interval:abc': interval:Z needs an integer Z"]
 
 
 def test_nan_training_reward_is_an_error(tmp_path, capsys, nan_rewards):

@@ -1,16 +1,63 @@
-"""Sim-Opt: vectorized interval evaluation vs an independent slow oracle."""
+"""Sim-Opt: interval evaluation vs an independent slow oracle and the
+all-replications-at-once closed form."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvclean import soiling as phys
-from pvclean.environment import ScenarioConfig
+from pvclean.environment import ScenarioConfig, day_arrays
 from pvclean.rng import replication_entropy
 from pvclean.simopt import (calibrate_panel_area, evaluate_interval, optimize,
                             precompute_weather)
+from pvclean.soiling import SoilingParams
 from pvclean.weather import KMH_PER_MS, default_model, generate_weather, make_streams
 
 CFG = ScenarioConfig(tariff=0.073, cleaning_cost=0.0183, horizon_years=1, seed=0)
+
+
+def all_replications_episode_costs(z, config, weather):
+    """The closed-form fixed-interval costs over (replications, n_seg, z) at once.
+
+    ``simopt`` runs the same operations one replication at a time; this is
+    the whole-array form they must equal bit for bit.
+    """
+    sp = config.soiling
+    days = day_arrays(config, weather)
+    n_reps, n_days = days["d_cal"].shape
+    n_seg = -(-n_days // z)
+    pad = n_seg * z - n_days
+
+    d = np.pad(days["d_cal"], ((0, 0), (0, pad))).reshape(n_reps, n_seg, z)
+    prefix = np.cumsum(d, axis=2)
+    running_min = np.minimum.accumulate(prefix, axis=2)
+    soil = np.maximum(prefix, sp.beta_residue + prefix - running_min)
+
+    tau = np.pad(days["tau"], (0, pad)).reshape(1, n_seg, z)
+    c3, c2, c1 = sp.cubic
+    eff = np.maximum(tau * (c3 * soil ** 3 + c2 * soil ** 2 + c1 * soil + sp.eff_max), 0.0)
+    price = np.pad(days["price"], ((0, 0), (0, pad))).reshape(n_reps, n_seg, z)
+    energy_loss = days["clean_panel_loss"] - (price * eff).sum(axis=(1, 2))
+
+    cleanings = n_seg - 1
+    return energy_loss, cleanings * config.cleaning_cost, cleanings
+
+
+@st.composite
+def soiling_params(draw):
+    """Default physics, or a cubic whose efficiency crosses 0 at a soiling
+    level ``s0`` that long segments pass, so the floor at 0 binds."""
+    if draw(st.booleans()):
+        return SoilingParams()
+    eff_max = SoilingParams().eff_max
+    c3 = draw(st.floats(-0.01, 0.0))
+    c2 = draw(st.floats(-0.05, 0.05))
+    s0 = draw(st.floats(0.05, 3.0))
+    c1 = -(eff_max + c2 * s0 ** 2 + c3 * s0 ** 3) / s0
+    return SoilingParams(beta_residue=draw(st.floats(0.001, 1.0)), cubic=(c3, c2, c1))
 
 
 def slow_interval_cost(z, config, replication):
@@ -46,6 +93,21 @@ def test_evaluate_interval_matches_slow_oracle(z):
     assert ev.mean_cleanings == expect[0][1]
     assert ev.mean_total_cost == pytest.approx(np.mean([c for c, _ in expect]),
                                                rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizon=st.integers(1, 3), reps=st.integers(1, 4), start_month=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1), sp=soiling_params(), data=st.data())
+def test_evaluate_interval_equals_all_replications_form(horizon, reps, start_month, seed,
+                                                        sp, data):
+    cfg = replace(CFG, horizon_years=horizon, start_month=start_month, seed=seed, soiling=sp)
+    z = data.draw(st.integers(1, cfg.n_days + 3), label="z")
+    weather = precompute_weather(cfg, reps)
+    ev = evaluate_interval(z, cfg, reps, weather=weather)
+    energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(z, cfg, weather)
+    assert ev.costs == [float(c) for c in energy_loss + cleaning_cost]
+    assert ev.mean_energy_loss_cost == float(energy_loss.mean())
+    assert (ev.mean_cleanings, ev.mean_cleaning_cost) == (cleanings, cleaning_cost)
 
 
 def test_interval_one_cleans_daily():

@@ -28,6 +28,8 @@ def test_params_validation():
     {"cubic": (-0.0026, float("nan"), -0.1369)},
     {"cubic": (-0.0026, "0.032", -0.1369)},
     {"cubic": [-0.0026, 0.032, -0.1369]},
+    {"annual_degradation": "0.05"},
+    {"eff_max": "0.192"},
 ])
 def test_params_reject_non_finite_values_and_bad_cubic(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
