@@ -14,13 +14,12 @@ dynamics but is not exposed unless ``include_humidity`` is set.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import soiling as phys
-from .soiling import SoilingParams
+from .soiling import SoilingParams, _finite_number
 from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
                       load_model, stack_weather)
 
@@ -78,8 +77,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("tariff", "cleaning_cost", "panel_area"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite: {getattr(self, name)}")
+            if not _finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite and numeric: {getattr(self, name)!r}")
         if self.tariff <= 0:
             raise ConfigError(f"tariff must be > 0: {self.tariff}")
         if self.cleaning_cost < 0:
@@ -102,6 +101,8 @@ class ScenarioConfig:
             raise ConfigError(f"include_humidity must be true or false: {self.include_humidity!r}")
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string: {self.name!r}")
+        if not isinstance(self.soiling, SoilingParams):
+            raise ConfigError(f"soiling must be a SoilingParams: {self.soiling!r}")
         if not (self.weather_model_path is None or isinstance(self.weather_model_path, str)):
             raise ConfigError(
                 f"weather_model_path must be a string or null: {self.weather_model_path!r}")
@@ -173,6 +174,8 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
         sp = data.pop("soiling", None)
+        if not (sp is None or isinstance(sp, dict)):
+            raise ConfigError(f"soiling must be a JSON object: {sp!r}")
         if sp is not None:
             sp["cubic"] = tuple(sp.get("cubic", SoilingParams().cubic))
             data["soiling"] = SoilingParams(**sp)

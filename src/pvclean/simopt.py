@@ -5,11 +5,13 @@ the mean total cost over replicated Monte-Carlo episodes.  Replication r
 always uses the same sub-seed regardless of z (common random numbers), so
 the cost curve is smooth and bit-reproducible for a fixed base seed.
 
-The evaluator scores one replication at a time, vectorized over its days,
-in work arrays small enough to stay in cache.  It shares the per-day
-deposition, price and age arrays (:func:`pvclean.environment.day_arrays`)
-with ``CleaningEnv`` but accumulates soiling in closed form, so the two
-routes agree to rounding.
+The evaluator scores all intervals of a sweep in one pass per
+replication.  Every segment start's row of per-day values is computed
+once, vectorized in cache-sized blocks, out to the longest interval that
+starts a segment there; each interval then sums its segments' leading
+entries.  It shares the per-day deposition, price and age arrays
+(:func:`pvclean.environment.day_arrays`) with ``CleaningEnv`` but
+accumulates soiling in closed form, so the two routes agree to rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .environment import ScenarioConfig, day_arrays
 from .rng import replication_entropy
@@ -49,9 +52,31 @@ def precompute_weather(config: ScenarioConfig, replications: int) -> dict:
                          config.start_month)
 
 
-def _episode_costs(z: int, config: ScenarioConfig, weather: dict,
-                   days: dict | None = None):
-    """Fixed-interval episodes, one replication at a time, vectorized over days.
+# Intervals are swept in chunks whose per-interval work, the sum of
+# n_seg * z, stays under this many elements, which bounds the row buffer
+# for long interval ranges; z = 1..120 over 20 years is one chunk.
+_CHUNK_ELEMENTS = 1 << 20
+# Rows of one length are computed in blocks of at most this many elements,
+# so the block and its two work arrays stay in cache.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _chunks(zs, n_days):
+    """Split ``zs`` into consecutive runs of at most ``_CHUNK_ELEMENTS`` work."""
+    run, work = [], 0
+    for z in zs:
+        cost = -(-n_days // z) * z
+        if run and work + cost > _CHUNK_ELEMENTS:
+            yield run
+            run, work = [], 0
+        run.append(z)
+        work += cost
+    if run:
+        yield run
+
+
+def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
+    """Energy-loss cost of fixed-interval episodes, shaped (len(zs), replications).
 
     Cleaning happens on mornings z, 2z, ... (days-since-clean reaches z),
     so each inter-cleaning segment starts from a fresh panel.  Within a
@@ -59,65 +84,113 @@ def _episode_costs(z: int, config: ScenarioConfig, weather: dict,
     closed form s_u = max(C_u, beta + C_u - min_{j<=u} C_j) with C the
     deposition prefix sum, which vectorizes across whole segments.
 
-    A replication's (n_seg, z) arrays fit in cache, so its whole pass runs
-    in three work arrays reused for every replication.  The operations,
-    their operand order and the summation are those of the whole-array
-    expression ``(price * max(tau * (c3*s**3 + c2*s**2 + c1*s + eff_max), 0))
-    .sum(axis=(1, 2))`` over (replications, n_seg, z), which the tests keep
-    as the reference, so every cost equals it bit for bit.
+    Day s + u of a segment that starts on day s has a value that depends
+    only on s and u, since ``cumsum`` and ``minimum.accumulate`` are
+    sequential.  So each start's row is computed once per replication, out
+    to the longest interval in ``zs`` that starts a segment there, and every
+    z then copies the first z entries of its starts' rows into a contiguous
+    (n_seg, z) array.  The operations, their operand order and the
+    summation are those of the whole-array expression ``(price * max(tau *
+    (c3*s**3 + c2*s**2 + c1*s + eff_max), 0)).sum(axis=(1, 2))`` over
+    (replications, n_seg, z), which the tests keep as the reference, so
+    every cost equals it bit for bit.
     """
     sp = config.soiling
-    if days is None:
-        days = day_arrays(config, weather)
-    n_reps, n_days = days["d_cal"].shape
-    n_seg = -(-n_days // z)
-    shape = (n_seg, z)
-
-    d = np.zeros(n_seg * z)
-    price = np.zeros(n_seg * z)
-    tau = np.pad(days["tau"], (0, n_seg * z - n_days)).reshape(shape)
     c3, c2, c1 = sp.cubic
-    soil, poly, term = np.empty(shape), np.empty(shape), np.empty(shape)
-    earned = np.empty(n_reps)
-    for r in range(n_reps):
-        d[:n_days] = days["d_cal"][r]
-        price[:n_days] = days["price"][r]
-        np.cumsum(d.reshape(shape), axis=1, out=soil)
-        np.minimum.accumulate(soil, axis=1, out=term)
-        np.add(sp.beta_residue, soil, out=poly)
-        np.subtract(poly, term, out=poly)
-        np.maximum(soil, poly, out=soil)
+    n_reps, n_days = days["d_cal"].shape
+    earned = np.empty((len(zs), n_reps))
+    row = 0
+    for chunk in _chunks(zs, n_days):
+        z_max = max(chunk)
+        # The longest interval that starts a segment on each day, 0 if none.
+        longest = np.zeros(n_days, dtype=np.intp)
+        for z in chunk:
+            np.maximum(longest[::z], z, out=longest[::z])
+        # Rows are rounded up to a few lengths, each 2/3 of the next, so
+        # they take a dozen length classes instead of one per distinct
+        # length, for ~18 % more elementwise work at z = 1..120.
+        lengths = [z_max]
+        while lengths[-1] > 1:
+            lengths.append(lengths[-1] * 2 // 3)
+        lengths = np.array(lengths[::-1])
+        used = np.flatnonzero(longest)
+        length = lengths[np.searchsorted(lengths, longest[used])]
 
-        np.power(soil, 3, out=poly)
-        np.multiply(c3, poly, out=poly)
-        np.square(soil, out=term)
-        np.multiply(c2, term, out=term)
-        np.add(poly, term, out=poly)
-        np.multiply(c1, soil, out=term)
-        np.add(poly, term, out=poly)
-        np.add(poly, sp.eff_max, out=poly)
-        np.multiply(tau, poly, out=poly)
-        np.maximum(poly, 0.0, out=poly)
-        np.multiply(price.reshape(shape), poly, out=poly)
-        earned[r] = poly.reshape(1, n_seg, z).sum(axis=(1, 2))[0]
-    energy_loss = days["clean_panel_loss"] - earned
+        # Days past the horizon hold zero deposition, price and age factor,
+        # as in the padded last segment of the whole-array form.
+        d = np.zeros(n_days + z_max)
+        price = np.zeros(n_days + z_max)
+        tau = np.zeros(n_days + z_max)
+        tau[:n_days] = days["tau"]
+        offset = np.zeros(n_days, dtype=np.intp)   # of each start's row in `rows`
+        blocks, size = [], 0
+        for n in np.unique(length):
+            starts = used[length == n]
+            offset[starts] = size + n * np.arange(starts.size)
+            windows = (sliding_window_view(d, n), sliding_window_view(price, n),
+                       sliding_window_view(tau, n))
+            step = max(1, _BLOCK_ELEMENTS // n)
+            blocks += [(starts[i:i + step], n, size + i * n, windows)
+                       for i in range(0, starts.size, step)]
+            size += starts.size * n
+        rows = np.empty(size)
+        largest = max(starts.size * n for starts, n, _, _ in blocks)
+        soil_buf, term_buf = np.empty(largest), np.empty(largest)
+        segments = [(sliding_window_view(rows, z), offset[::z]) for z in chunk]
 
-    cleanings = n_seg - 1
-    return energy_loss, cleanings * config.cleaning_cost, cleanings
+        for r in range(n_reps):
+            d[:n_days] = days["d_cal"][r]
+            price[:n_days] = days["price"][r]
+            for starts, n, at, (d_win, price_win, tau_win) in blocks:
+                shape = (starts.size, n)
+                poly = rows[at:at + starts.size * n].reshape(shape)
+                soil = soil_buf[:poly.size].reshape(shape)
+                term = term_buf[:poly.size].reshape(shape)
+                np.cumsum(d_win[starts], axis=1, out=soil)
+                np.minimum.accumulate(soil, axis=1, out=term)
+                np.add(sp.beta_residue, soil, out=poly)
+                np.subtract(poly, term, out=poly)
+                np.maximum(soil, poly, out=soil)
+
+                np.power(soil, 3, out=poly)
+                np.multiply(c3, poly, out=poly)
+                np.square(soil, out=term)
+                np.multiply(c2, term, out=term)
+                np.add(poly, term, out=poly)
+                np.multiply(c1, soil, out=term)
+                np.add(poly, term, out=poly)
+                np.add(poly, sp.eff_max, out=poly)
+                np.multiply(tau_win[starts], poly, out=poly)
+                np.maximum(poly, 0.0, out=poly)
+                np.multiply(price_win[starts], poly, out=poly)
+            for i, (window, offsets) in enumerate(segments):
+                earned[row + i, r] = window[offsets][None].sum(axis=(1, 2))[0]
+        row += len(chunk)
+    return days["clean_panel_loss"] - earned
 
 
 def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
-                      weather: dict | None = None,
-                      days: dict | None = None) -> IntervalEvaluation:
-    """Score cleaning interval ``z`` by ``replications`` common-seed episodes."""
+                      weather: dict | None = None, days: dict | None = None,
+                      energy_loss: np.ndarray | None = None) -> IntervalEvaluation:
+    """Score cleaning interval ``z`` by ``replications`` common-seed episodes.
+
+    ``energy_loss`` takes the per-replication energy-loss costs of ``z``
+    when a sweep over several intervals has already computed them.
+    """
     if z < 1:
         raise ValueError(f"cleaning interval must be >= 1, got {z}")
-    if weather is None:
-        weather = precompute_weather(config, replications)
-    energy_loss, cleaning_cost, cleanings = _episode_costs(int(z), config, weather, days)
+    z = int(z)
+    if days is None:
+        if weather is None:
+            weather = precompute_weather(config, replications)
+        days = day_arrays(config, weather)
+    if energy_loss is None:
+        energy_loss = _energy_losses([z], config, days)[0]
+    cleanings = -(-days["d_cal"].shape[1] // z) - 1
+    cleaning_cost = cleanings * config.cleaning_cost
     totals = energy_loss + cleaning_cost
     return IntervalEvaluation(
-        z=int(z),
+        z=z,
         mean_total_cost=float(totals.mean()),
         costs=[float(c) for c in totals],
         mean_cleanings=float(cleanings),
@@ -134,10 +207,15 @@ def optimize(config: ScenarioConfig, z_min: int = 1, z_max: int = 120,
     """
     if z_min > z_max:
         raise ValueError(f"z_min {z_min} > z_max {z_max}")
+    if z_min < 1:
+        raise ValueError(f"cleaning interval must be >= 1, got {z_min}")
     weather = precompute_weather(config, replications)
     days = day_arrays(config, weather)
-    curve = [evaluate_interval(z, config, replications, weather=weather, days=days)
-             for z in range(z_min, z_max + 1)]
+    zs = range(z_min, z_max + 1)
+    losses = _energy_losses(zs, config, days)
+    curve = [evaluate_interval(z, config, replications, weather=weather, days=days,
+                               energy_loss=loss)
+             for z, loss in zip(zs, losses)]
     best = min(curve, key=lambda e: (e.mean_total_cost, e.z))
     return best.z, curve
 

@@ -7,6 +7,8 @@ and actions, rewards and state are (1,) arrays; tests read replication 0.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
                                  PRESETS, CleaningEnv, ConfigError,
                                  EpisodeDoneError, ScenarioConfig,
                                  load_config, preset, save_config)
+from pvclean.soiling import SoilingParams
 from pvclean.weather import KMH_PER_MS, generate_weather, make_streams
 
 SMALL = dict(tariff=0.073, cleaning_cost=0.0183, horizon_years=1)
@@ -43,10 +46,41 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [("tariff", float("nan")),
                                           ("cleaning_cost", float("nan")),
-                                          ("panel_area", float("inf"))])
+                                          ("panel_area", float("inf")),
+                                          ("tariff", "0.07"), ("tariff", True),
+                                          ("cleaning_cost", "0.02"), ("cleaning_cost", True),
+                                          ("panel_area", "1.6"), ("panel_area", True)])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         preset("S1exp", **{field: value})
+
+
+@pytest.mark.parametrize("field", ["tariff", "cleaning_cost", "panel_area"])
+@pytest.mark.parametrize("value", ["0.07", True], ids=["string", "bool"])
+def test_load_config_rejects_non_numeric_numbers(tmp_path, field, value):
+    path = tmp_path / "cfg.json"
+    save_config(preset("S1exp"), path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"cfg.json: {field} must be finite and numeric"):
+        load_config(path)
+
+
+def test_config_requires_soiling_params():
+    with pytest.raises(ConfigError, match="soiling must be a SoilingParams"):
+        preset("S1exp", soiling={"a": 1})
+
+
+@pytest.mark.parametrize("value", ["dusty", [0.06], 1.0])
+def test_load_config_requires_a_soiling_object(tmp_path, value):
+    path = tmp_path / "cfg.json"
+    save_config(preset("S1exp"), path)
+    data = json.loads(path.read_text())
+    data["soiling"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="cfg.json: soiling must be a JSON object"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("field", ["horizon_years", "start_month", "seed"])
@@ -92,6 +126,43 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Any valid config, with every field drawn, the soiling physics too."""
+    soiling = SoilingParams(
+        humidity_k=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        beta_residue=draw(positive),
+        annual_degradation=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eff_max=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        cubic=tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=3, max_size=3))))
+    return ScenarioConfig(
+        tariff=draw(positive),
+        cleaning_cost=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        panel_area=draw(positive),
+        horizon_years=draw(st.integers(1, 100)),
+        reward_mode=draw(st.sampled_from(["per_step", "terminal"])),
+        normalization_mode=draw(st.sampled_from(["feature_scaled", "div10"])),
+        start_month=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2 ** 128)),
+        include_humidity=draw(st.booleans()),
+        soiling=soiling,
+        weather_model_path=draw(st.none() | st.text()),
+        name=draw(st.text()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=scenario_configs())
+def test_save_load_config_is_the_identity(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
 
 
 def test_load_config_rejects_bad_json(tmp_path):

@@ -1,7 +1,13 @@
 """Dense networks: forward oracles, exact gradients, Adam, persistence."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pvclean.nn import Adam, DenseNet, clip_global_norm, load_net, save_net
 
@@ -158,6 +164,32 @@ def test_save_load_bit_exact(tmp_path):
     np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
     for a, b in zip(net.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(a, b)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+       softmax=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_save_load_net_is_the_identity(dims, softmax, seed, data):
+    """Any weights, subnormals and signed zeros included, come back bit for bit."""
+    acts = ["relu"] * (len(dims) - 2) + ["softmax" if softmax else "linear"]
+    net = DenseNet(dims, acts, seed=seed)
+    values = st.floats(-1e3, 1e3, allow_subnormal=True)
+    for params in (net.weights, net.biases):
+        for i, p in enumerate(params):
+            params[i] = data.draw(arrays(np.float64, p.shape, elements=values))
+    x = data.draw(arrays(np.float64, (3, dims[0]), elements=st.floats(-10, 10)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        save_net(net, path)
+        loaded = load_net(path)
+    assert (loaded.layer_dims, loaded.activations) == (net.layer_dims, net.activations)
+    for a, b in zip(net.parameters(), loaded.parameters()):
+        assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+    assert np.array_equal(_bits(net.forward(x)), _bits(loaded.forward(x)))
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -2,12 +2,14 @@
 all-replications-at-once closed form."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvclean import simopt
 from pvclean import soiling as phys
 from pvclean.environment import ScenarioConfig, day_arrays
 from pvclean.rng import replication_entropy
@@ -108,6 +110,34 @@ def test_evaluate_interval_equals_all_replications_form(horizon, reps, start_mon
     assert ev.costs == [float(c) for c in energy_loss + cleaning_cost]
     assert ev.mean_energy_loss_cost == float(energy_loss.mean())
     assert (ev.mean_cleanings, ev.mean_cleaning_cost) == (cleanings, cleaning_cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizon=st.integers(1, 3), reps=st.integers(1, 4), start_month=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1), sp=soiling_params(),
+       chunk=st.sampled_from([1, 5_000, simopt._CHUNK_ELEMENTS]),
+       block=st.sampled_from([1, 300, simopt._BLOCK_ELEMENTS]), data=st.data())
+def test_optimize_curve_equals_single_intervals_and_oracle(horizon, reps, start_month,
+                                                          seed, sp, chunk, block, data):
+    """Every sweep entry equals its own single-interval run and the oracle, bit
+    for bit, whatever chunks the intervals and blocks the rows fall into."""
+    cfg = replace(CFG, horizon_years=horizon, start_month=start_month, seed=seed, soiling=sp)
+    z_min = data.draw(st.integers(1, cfg.n_days + 3), label="z_min")
+    z_max = data.draw(st.integers(z_min, min(z_min + 150, cfg.n_days + 3)), label="z_max")
+    with (mock.patch.object(simopt, "_CHUNK_ELEMENTS", chunk),
+          mock.patch.object(simopt, "_BLOCK_ELEMENTS", block)):
+        _, curve = optimize(cfg, z_min, z_max, reps)
+    weather = precompute_weather(cfg, reps)
+    assert [e.z for e in curve] == list(range(z_min, z_max + 1))
+    for e in curve:
+        single = evaluate_interval(e.z, cfg, reps, weather=weather)
+        energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(
+            e.z, cfg, weather)
+        fields = (e.costs, e.mean_energy_loss_cost, e.mean_cleanings, e.mean_cleaning_cost)
+        assert fields == (single.costs, single.mean_energy_loss_cost,
+                          single.mean_cleanings, single.mean_cleaning_cost)
+        assert fields == ([float(c) for c in energy_loss + cleaning_cost],
+                          float(energy_loss.mean()), cleanings, cleaning_cost)
 
 
 def test_interval_one_cleans_daily():
