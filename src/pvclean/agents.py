@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import FEATURE_SCALES, CleaningEnv, ScenarioConfig
+from .environment import CleaningEnv, ScenarioConfig, cleaning_interval, observation_scales
 from .nn import Adam, DenseNet, clip_global_norm
 from .rng import RandomStream, replication_entropy, training_entropy
 
@@ -42,7 +42,6 @@ class PPOConfig:
     learning_epochs: int = 5
     minibatch_size: int = 256
     value_loss_coefficient: float = 0.5
-    entropy_coefficient: float = 0.0
     hidden: int = 256
     max_grad_norm: float = 0.5
 
@@ -137,13 +136,8 @@ class FixedIntervalPolicy:
     """
 
     def __init__(self, z: int, config: ScenarioConfig):
-        if z < 1:
-            raise ValueError(f"interval must be >= 1, got {z}")
-        self.z = int(z)
-        if config.normalization_mode == "feature_scaled":
-            self._scale = FEATURE_SCALES["days_since_clean"]
-        else:
-            self._scale = 10.0
+        self.z = cleaning_interval(z)
+        self._scale = observation_scales(config)[1]   # of days since cleaning
 
     def action(self, observation):
         days = np.rint(np.asarray(observation)[..., 1] * self._scale)
@@ -240,11 +234,6 @@ class PPOAgent:
                 grad_logp = -clipped_surrogate_grad(ratio, badv, cfg.clip_epsilon) / b
                 grad_probs = np.zeros_like(probs)
                 grad_probs[np.arange(b), act] = grad_logp / p_taken
-                if cfg.entropy_coefficient:
-                    safe = np.clip(probs, 1e-12, None)
-                    policy_loss -= cfg.entropy_coefficient * float(
-                        -(safe * np.log(safe)).sum(axis=1).mean())
-                    grad_probs += cfg.entropy_coefficient * (np.log(safe) + 1.0) / b
                 actor_grads = clip_global_norm(self.actor.backward(grad_probs),
                                                cfg.max_grad_norm)
 

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import agents, simopt
-from .environment import (PRESETS, CleaningEnv, ConfigError, ScenarioConfig,
-                          load_config, preset)
+from .environment import (FEATURE_SCALES, PRESETS, CleaningEnv, ConfigError,
+                          ScenarioConfig, load_config, preset)
 from .nn import load_net, save_net
 from .rng import replication_entropy
+from .weather import VARIABLES
 
 __all__ = ["main"]
 
@@ -54,9 +55,13 @@ def _scenario(args) -> ScenarioConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _case_label(cfg: ScenarioConfig) -> str:
+    return cfg.name or "custom"
+
+
 def _config_header(cfg: ScenarioConfig, extra: dict | None = None) -> list:
     lines = [
-        f"# case={cfg.name or 'custom'}",
+        f"# case={_case_label(cfg)}",
         f"# tariff={cfg.tariff!r} cleaning_cost={cfg.cleaning_cost!r} "
         f"panel_area={cfg.panel_area!r}",
         f"# horizon_years={cfg.horizon_years} start_month={cfg.start_month} "
@@ -81,10 +86,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _case_label(cfg: ScenarioConfig) -> str:
-    return cfg.name or "custom"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -151,8 +152,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_TRACE_INFO = ("temperature", "wind_speed", "particulate_matter", "irradiance",
-               "relative_humidity", "soiling", "efficiency", "energy_loss_cost",
+_TRACE_INFO = (*VARIABLES, "soiling", "efficiency", "energy_loss_cost",
                "cleaning_cost_incurred")
 
 
@@ -168,10 +168,7 @@ def cmd_trace(args) -> int:
                      *[float(res.info[k][0]) for k in _TRACE_INFO]))
 
     agents.rollout(policy, CleaningEnv(cfg), [replication_entropy(cfg.seed, 0)], record)
-    obs_names = ["obs_deposition", "obs_days_since_clean", "obs_temperature",
-                 "obs_wind_speed", "obs_particulate_matter", "obs_irradiance"]
-    if cfg.include_humidity:
-        obs_names.append("obs_relative_humidity")
+    obs_names = [f"obs_{name}" for name in list(FEATURE_SCALES)[:cfg.obs_dim]]
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy})
     _write_csv(out / f"{label}_trace.csv", header,

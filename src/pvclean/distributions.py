@@ -18,9 +18,9 @@ transform families consume exactly one uniform per draw (:func:`transform`
 maps uniforms to draws).  Gamma and beta are rejection samplers and consume
 a variable (but deterministic, given the stream state) number of uniforms;
 every weather variable owns its own stream, so this never perturbs the
-other variables' draws.  :func:`sample_cheng` draws a Cheng-BB beta block
-with numpy deciding which attempts are accepted, and equals
-:func:`sample_many` bit for bit.
+other variables' draws.  :func:`sample_many` is the one sampler entry: it
+draws a Cheng-BB beta as a block, with numpy deciding which attempts are
+accepted, and leaves the stream where drawing one attempt at a time would.
 
 Samples are clamped to the physical bounds carried by the spec.  Clamping
 (rather than resampling) keeps stream alignment deterministic.
@@ -37,7 +37,7 @@ from scipy.special import ndtri
 from .rng import RandomStream
 
 __all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
-           "transform", "is_cheng", "sample_cheng", "sample", "sample_many"]
+           "transform", "sample_many"]
 
 FAMILY_ARITY = {
     "normal": 2,
@@ -206,29 +206,21 @@ def _gamma_variate(shape: float, stream: RandomStream) -> float:
             return d * v
 
 
-def _beta_variate(a: float, b: float, stream: RandomStream) -> float:
-    """Standard beta draw: Cheng BB for min(a,b) > 1, Johnk otherwise."""
-    if min(a, b) <= 1.0:
-        # Johnk; acceptance is fine for small shapes.
-        while True:
-            u = max(stream.uniform(), _TINY)
-            v = max(stream.uniform(), _TINY)
-            x = u ** (1.0 / a)
-            y = v ** (1.0 / b)
-            if x + y <= 1.0:
-                if x + y > 0.0:
-                    return x / (x + y)
-                # Underflow: fall back to log-scale comparison.
-                lx = math.log(u) / a
-                ly = math.log(v) / b
-                m = max(lx, ly)
-                return math.exp(lx - m) / (math.exp(lx - m) + math.exp(ly - m))
-    c = _cheng_constants(a, b)
+def _johnk_variate(a: float, b: float, stream: RandomStream) -> float:
+    """Standard beta draw by Johnk's method, for min(a, b) <= 1."""
     while True:
-        u1 = stream.uniform()
-        u2 = max(stream.uniform(), _TINY)
-        if _cheng_accept(u1, u2, c):
-            return _cheng_value(u1, a, c)
+        u = max(stream.uniform(), _TINY)
+        v = max(stream.uniform(), _TINY)
+        x = u ** (1.0 / a)
+        y = v ** (1.0 / b)
+        if x + y <= 1.0:
+            if x + y > 0.0:
+                return x / (x + y)
+            # Underflow: fall back to log-scale comparison.
+            lx = math.log(u) / a
+            ly = math.log(v) / b
+            m = max(lx, ly)
+            return math.exp(lx - m) / (math.exp(lx - m) + math.exp(ly - m))
 
 
 def _cheng_constants(a: float, b: float) -> tuple:
@@ -296,26 +288,18 @@ def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> np.ndarray:
     return accept
 
 
-def is_cheng(spec: DistributionSpec) -> bool:
-    """Whether ``spec`` is a beta drawn by Cheng BB (both shapes > 1)."""
-    return spec.family == "beta" and min(spec.params[2:]) > 1.0
+def _cheng_variates(a: float, b: float, stream: RandomStream, n: int) -> np.ndarray:
+    """``n`` standard Cheng-BB beta draws, for shapes min(a, b) > 1.
 
-
-def sample_cheng(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
-    """``n`` clamped draws of a Cheng-BB beta spec, identical to :func:`sample_many`.
-
-    Peeks at a block of attempts (2 uniforms each, about 2.7 n + 4 in all,
-    doubled while it holds fewer than ``n`` acceptances), lets numpy find
-    the first ``n`` accepted attempts, and skips the stream past the
-    uniforms they used, so it ends where the draws one by one would leave
-    it.  The variates come from the scalar expression of
-    :func:`_beta_variate`.
+    Each attempt takes 2 uniforms (u1, u2) and is accepted by
+    :func:`_cheng_accept`.  Peeks at a block of attempts (about 2.7 n + 4
+    uniforms, doubled while it holds fewer than ``n`` acceptances), lets
+    numpy find the first ``n`` accepted attempts, and skips the stream past
+    the uniforms they used, so it ends where drawing one attempt at a time
+    would leave it.  The variates come from the scalar expression
+    :func:`_cheng_value`.
     """
-    if not is_cheng(spec):
-        raise ParameterError(f"not a Cheng-BB beta: {spec}")
-    lo, hi, a, b = spec.params
     c = _cheng_constants(a, b)
-    n = int(n)
     attempts = n + n // 3 + 2
     while True:
         u = stream.peek(2 * attempts)
@@ -325,8 +309,7 @@ def sample_cheng(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
             break
         attempts *= 2
     stream.skip(2 * int(hits[-1] + 1) if n else 0)
-    x = np.array([_cheng_value(v, a, c) for v in u1[hits].tolist()])
-    return np.clip(lo + (hi - lo) * x, spec.clamp_lo, spec.clamp_hi)
+    return np.array([_cheng_value(v, a, c) for v in u1[hits].tolist()])
 
 
 def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
@@ -365,19 +348,16 @@ def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
         return loc + scale * np.array([_gamma_variate(shape, stream) for _ in range(n)])
     if fam == "beta":
         lo, hi, a, b = p
-        return lo + (hi - lo) * np.array([_beta_variate(a, b, stream) for _ in range(n)])
+        x = (_cheng_variates(a, b, stream, n) if min(a, b) > 1.0
+             else np.array([_johnk_variate(a, b, stream) for _ in range(n)]))
+        return lo + (hi - lo) * x
     raise ParameterError(f"unknown family {fam!r}")  # pragma: no cover
 
 
 def sample_many(spec: DistributionSpec, stream: RandomStream, n: int,
                 clamp: bool = True) -> np.ndarray:
-    """Draw ``n`` samples in sequence; identical to ``n`` sample() calls."""
+    """Draw ``n`` samples of ``spec`` in sequence, clamped unless ``clamp`` is false."""
     x = _raw_samples(spec, stream, int(n))
     if clamp:
         x = np.clip(x, spec.clamp_lo, spec.clamp_hi)
     return x
-
-
-def sample(spec: DistributionSpec, stream: RandomStream, clamp: bool = True) -> float:
-    """Draw one sample from ``spec``, clamped to [clamp_lo, clamp_hi]."""
-    return float(sample_many(spec, stream, 1, clamp=clamp)[0])

@@ -26,7 +26,7 @@ from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
 __all__ = [
     "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "EpisodeDoneError",
     "PRESETS", "preset", "load_config", "save_config", "CALIBRATED_PANEL_AREA",
-    "FEATURE_SCALES", "day_arrays",
+    "FEATURE_SCALES", "observation_scales", "cleaning_interval", "day_arrays",
 ]
 
 ACTION_NO_CLEAN = 0
@@ -37,8 +37,9 @@ ACTION_CLEAN = 1
 # frozen for all ten presets (see demos/calibrate_area.py to reproduce).
 CALIBRATED_PANEL_AREA = 0.403214
 
-# Fixed per-feature scales for the default observation normalization,
-# chosen from the physical clamp ranges.
+# The observation features in order, with their fixed scales for the
+# default normalization, chosen from the physical clamp ranges.  The last
+# one, relative humidity, is shown only with ``include_humidity``.
 FEATURE_SCALES = {
     "deposition": 5.0,
     "days_since_clean": 100.0,
@@ -52,6 +53,17 @@ FEATURE_SCALES = {
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def cleaning_interval(z) -> int:
+    """``z`` as an int, or ValueError unless it is an integer >= 1 (not a bool)."""
+    if not (_is_integer(z) and z >= 1):
+        raise ValueError(f"cleaning interval must be an integer >= 1, got {z!r}")
+    return int(z)
 
 
 class EpisodeDoneError(RuntimeError):
@@ -87,7 +99,7 @@ class ScenarioConfig:
             raise ConfigError(f"panel_area must be > 0: {self.panel_area}")
         for name in ("horizon_years", "start_month", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer: {value!r}")
         if self.horizon_years < 1:
             raise ConfigError(f"horizon_years must be >= 1: {self.horizon_years}")
@@ -192,6 +204,14 @@ class StepResult:
     info: dict
 
 
+def observation_scales(config: ScenarioConfig) -> np.ndarray:
+    """The divisor of each observation feature, in ``FEATURE_SCALES`` order."""
+    scales = np.array(list(FEATURE_SCALES.values())[:config.obs_dim])
+    if config.normalization_mode == "div10":
+        return np.full_like(scales, 10.0)
+    return scales
+
+
 def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
     """Schedule-independent per-day quantities, shaped (replications, n_days).
 
@@ -234,12 +254,7 @@ class CleaningEnv:
         self.model = config.weather_model()
         self.day = 0
         self.done = True
-        if config.normalization_mode == "feature_scaled":
-            scales = [FEATURE_SCALES[name] for name in ("deposition", "days_since_clean",
-                                                        *VARIABLES)]
-        else:
-            scales = [10.0] * (2 + len(VARIABLES))
-        self._scales = np.array(scales[:config.obs_dim])
+        self._scales = observation_scales(config)
 
     # -- episode control ---------------------------------------------------
 

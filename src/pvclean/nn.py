@@ -16,7 +16,7 @@ _ACTIVATIONS = ("relu", "linear", "softmax")
 
 
 class DenseNet:
-    """Fully connected chain: list of (in_dim, out_dim, activation) layers.
+    """Fully connected chain of ``layer_dims``, one activation per layer.
 
     Weights use scaled-normal init (variance 2/fan_in for relu layers,
     1/fan_in otherwise), biases start at zero.  ``softmax`` is only valid
@@ -47,10 +47,6 @@ class DenseNet:
     def in_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def parameters(self):
         """Flat list of parameter arrays (weights and biases, interleaved)."""
         out = []
@@ -58,9 +54,6 @@ class DenseNet:
             out.append(w)
             out.append(b)
         return out
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def forward(self, x) -> np.ndarray:
         """Run the chain on ``x`` of shape (in_dim,) or (n, in_dim).

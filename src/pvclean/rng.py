@@ -8,9 +8,10 @@ distinct (seed, tags, stream_id) tuples yield statistically independent
 sequences, and that equal tuples yield byte-identical sequences on every
 platform.
 
-Standard normals are produced by the inverse-CDF transform (``ndtri``), so
-each normal consumes exactly one underlying uniform.  This keeps the number
-of uniforms consumed per distribution draw documented and reproducible.
+:meth:`RandomStream.standard_normal` is the inverse-CDF transform
+(``ndtri``) of one uniform, so each normal consumes exactly one underlying
+uniform.  This keeps the number of uniforms consumed per distribution draw
+documented and reproducible.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class RandomStream:
     def standard_normal(self) -> float:
         """One standard normal via inverse-CDF; consumes one uniform."""
         return float(ndtri(self.uniform()))
-
-    def standard_normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals via inverse-CDF; consumes ``n`` uniforms."""
-        return ndtri(self.uniforms(n))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .environment import ScenarioConfig, day_arrays
+from .environment import ScenarioConfig, cleaning_interval, day_arrays
 from .rng import replication_entropy
 from .weather import stack_weather
 
@@ -170,20 +170,17 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
 
 
 def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
-                      weather: dict | None = None, days: dict | None = None,
+                      days: dict | None = None,
                       energy_loss: np.ndarray | None = None) -> IntervalEvaluation:
     """Score cleaning interval ``z`` by ``replications`` common-seed episodes.
 
-    ``energy_loss`` takes the per-replication energy-loss costs of ``z``
-    when a sweep over several intervals has already computed them.
+    ``days`` takes the :func:`~pvclean.environment.day_arrays` of weather
+    already drawn, and ``energy_loss`` the per-replication energy-loss
+    costs of ``z`` when a sweep over several intervals has computed them.
     """
-    if z < 1:
-        raise ValueError(f"cleaning interval must be >= 1, got {z}")
-    z = int(z)
+    z = cleaning_interval(z)
     if days is None:
-        if weather is None:
-            weather = precompute_weather(config, replications)
-        days = day_arrays(config, weather)
+        days = day_arrays(config, precompute_weather(config, replications))
     if energy_loss is None:
         energy_loss = _energy_losses([z], config, days)[0]
     cleanings = -(-days["d_cal"].shape[1] // z) - 1
@@ -205,16 +202,13 @@ def optimize(config: ScenarioConfig, z_min: int = 1, z_max: int = 120,
 
     Ties in mean total cost break toward the smaller interval.
     """
+    z_min, z_max = cleaning_interval(z_min), cleaning_interval(z_max)
     if z_min > z_max:
         raise ValueError(f"z_min {z_min} > z_max {z_max}")
-    if z_min < 1:
-        raise ValueError(f"cleaning interval must be >= 1, got {z_min}")
-    weather = precompute_weather(config, replications)
-    days = day_arrays(config, weather)
+    days = day_arrays(config, precompute_weather(config, replications))
     zs = range(z_min, z_max + 1)
     losses = _energy_losses(zs, config, days)
-    curve = [evaluate_interval(z, config, replications, weather=weather, days=days,
-                               energy_loss=loss)
+    curve = [evaluate_interval(z, config, replications, days=days, energy_loss=loss)
              for z, loss in zip(zs, losses)]
     best = min(curve, key=lambda e: (e.mean_total_cost, e.z))
     return best.z, curve

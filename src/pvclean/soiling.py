@@ -2,8 +2,9 @@
 
 Pure functions implementing the daily deposition model, the humidity
 calibration of wind removal, soiling accumulation with a residue floor,
-age degradation, and the cubic soiling-to-efficiency map.  All operations
-accept scalars or numpy arrays.
+age degradation, and the cubic soiling-to-efficiency map.  Each function
+applies its operations directly to its inputs: the simulator passes
+arrays, and scalar inputs give scalar or 0-d array results.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ def _finite_number(x) -> bool:
 
 def daily_soiling(wind_speed, particulate_matter):
     """Daily dust deposition in g/m2/day; negative means net wind removal."""
-    ws = np.asarray(wind_speed, dtype=float)
-    pm = np.asarray(particulate_matter, dtype=float)
-    d = 0.00144 * (10.6 - 4.99 * ws + 247.0 * pm - 73.4 * ws * pm)
-    return float(d) if d.ndim == 0 else d
+    ws, pm = wind_speed, particulate_matter
+    return 0.00144 * (10.6 - 4.99 * ws + 247.0 * pm - 73.4 * ws * pm)
 
 
 def calibrate(deposition, relative_humidity, k: float = 0.06):
@@ -67,11 +66,8 @@ def calibrate(deposition, relative_humidity, k: float = 0.06):
     Positive deposition is untouched.  RH is in percent; the factor is
     clamped to [0, 1] for pathological RH < k.
     """
-    d = np.asarray(deposition, dtype=float)
-    rh = np.asarray(relative_humidity, dtype=float)
-    f = np.clip(k / rh, 0.0, 1.0)
-    out = np.where(d >= 0.0, d, f * d)
-    return float(out) if out.ndim == 0 else out
+    f = np.clip(k / relative_humidity, 0.0, 1.0)
+    return np.where(deposition >= 0.0, deposition, f * deposition)
 
 
 def accumulate(previous, deposition, cleaned_today, beta: float = 0.01):
@@ -80,23 +76,16 @@ def accumulate(previous, deposition, cleaned_today, beta: float = 0.01):
     cleaned -> 0; uncleaned -> previous + deposition, floored at ``beta``
     (residues always remain unless the panel is cleaned).
     """
-    s = np.asarray(previous, dtype=float) + np.asarray(deposition, dtype=float)
-    s = np.maximum(s, beta)
-    out = np.where(cleaned_today, 0.0, s)
-    return float(out) if out.ndim == 0 else out
+    return np.where(cleaned_today, 0.0, np.maximum(previous + deposition, beta))
 
 
 def degradation_factor(years_elapsed, annual_degradation: float = 0.05):
     """Age factor (1 - rate) ** years, years = floor(day_index / 365)."""
-    y = np.asarray(years_elapsed)
-    out = (1.0 - annual_degradation) ** y
-    return float(out) if out.ndim == 0 else out
+    return (1.0 - annual_degradation) ** years_elapsed
 
 
 def efficiency(soiling_level, tau=1.0, params: SoilingParams = SoilingParams()):
     """Panel efficiency: tau * cubic(soiling), floored at 0."""
-    s = np.asarray(soiling_level, dtype=float)
+    s = soiling_level
     c3, c2, c1 = params.cubic
-    e = tau * (c3 * s ** 3 + c2 * s ** 2 + c1 * s + params.eff_max)
-    out = np.maximum(e, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(tau * (c3 * s ** 3 + c2 * s ** 2 + c1 * s + params.eff_max), 0.0)

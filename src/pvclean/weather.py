@@ -18,8 +18,7 @@ from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import (INVERSE_FAMILIES, DistributionSpec, is_cheng,
-                            sample_cheng, sample_many, transform)
+from .distributions import INVERSE_FAMILIES, DistributionSpec, sample_many, transform
 from .rng import RandomStream
 
 __all__ = [
@@ -124,10 +123,9 @@ def load_model(path) -> MonthlyWeatherModel:
     return MonthlyWeatherModel(table)
 
 
-def make_streams(seed, base_stream_id: int = 0) -> dict:
+def make_streams(seed) -> dict:
     """One independent stream per weather variable (stream ids 0..4)."""
-    return {var: RandomStream(seed, base_stream_id + i)
-            for i, var in enumerate(VARIABLES)}
+    return {var: RandomStream(seed, i) for i, var in enumerate(VARIABLES)}
 
 
 def month_of_day(day_index, start_month: int = 1):
@@ -139,14 +137,13 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: dict,
                      start_month: int = 1) -> dict:
     """Draw ``n_days`` of weather as one array per variable.
 
-    Draw-for-draw identical to drawing each day in order with
-    :func:`~pvclean.distributions.sample` from that day's month: the same
-    values, and every stream left with the same ``counter`` and the same
-    next uniform.  Each variable draws its whole trajectory at once: each
-    maximal stretch of inverse-transform days takes one ``uniforms`` call,
-    a Cheng-beta month goes through
-    :func:`~pvclean.distributions.sample_cheng` and any other month (gamma,
-    Johnk beta) through ``sample_many``.
+    Draw-for-draw identical to drawing each day in order, one value at a
+    time, from that day's month: the same values, and every stream left
+    with the same ``counter`` and the same next uniform.  Each variable
+    draws its whole trajectory at once: each maximal stretch of
+    inverse-transform days takes one ``uniforms`` call, and each stretch
+    of a rejection-family month (gamma, beta) one
+    :func:`~pvclean.distributions.sample_many` call.
 
     Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
     ``math``'s by an ulp, so numpy may only classify (which rejection
@@ -173,9 +170,7 @@ def _trajectory(specs: list, months: np.ndarray, stream: RandomStream) -> np.nda
         if key[start] == 0:
             u[start:stop] = stream.uniforms(stop - start)
         else:
-            spec = specs[key[start] - 1]
-            draw = sample_cheng if is_cheng(spec) else sample_many
-            x[start:stop] = draw(spec, stream, stop - start)
+            x[start:stop] = sample_many(specs[key[start] - 1], stream, stop - start)
     for m in np.flatnonzero(inverse) + 1:
         days = months == m
         if days.any():

@@ -119,6 +119,13 @@ def test_fixed_interval_policy_validation():
         FixedIntervalPolicy(0, ScenarioConfig(**SMALL))
 
 
+@pytest.mark.parametrize("z", [2.5, True])
+def test_fixed_interval_policy_rejects_non_integer_z(z):
+    with pytest.raises(ValueError, match=f"cleaning interval must be an integer >= 1, got {z!r}"):
+        FixedIntervalPolicy(z, ScenarioConfig(**SMALL))
+    assert FixedIntervalPolicy(np.int64(2), ScenarioConfig(**SMALL)).z == 2
+
+
 def test_replay_buffer_ring():
     buf = ReplayBuffer(4, 2)
     for i in range(6):

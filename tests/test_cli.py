@@ -58,17 +58,35 @@ def test_train_then_eval_policy_file(tmp_path):
     assert rc == 0
 
 
+TRACE_OBS = ["obs_deposition", "obs_days_since_clean", "obs_temperature", "obs_wind_speed",
+             "obs_particulate_matter", "obs_irradiance"]
+TRACE_INFO = ["temperature", "wind_speed", "particulate_matter", "irradiance",
+              "relative_humidity", "soiling", "efficiency", "energy_loss_cost",
+              "cleaning_cost_incurred"]
+
+
 def test_trace_rows_cover_horizon(tmp_path):
     rc = run(["trace", "interval:15", "--case", "S1exp", *ARGS,
               "--out", tmp_path])
     assert rc == 0
     lines = (tmp_path / "S1exp_trace.csv").read_text().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
-    assert data[0].startswith("day,action,obs_deposition,obs_days_since_clean")
+    assert data[0].split(",") == ["day", "action", *TRACE_OBS, *TRACE_INFO]
     assert len(data) == 1 + 365
     # Cleanings land exactly on the fixed-interval mornings.
     actions = [int(ln.split(",")[1]) for ln in data[1:]]
     assert [d for d, a in enumerate(actions) if a] == list(range(15, 365, 15))
+
+
+def test_trace_shows_humidity_observation_when_configured(tmp_path):
+    path = tmp_path / "humid.json"
+    save_config(preset("S1exp", include_humidity=True, name="humid"), path)
+    assert run(["trace", "interval:15", "--case", path, *ARGS, "--out", tmp_path]) == 0
+    lines = (tmp_path / "humid_trace.csv").read_text().splitlines()
+    data = [ln for ln in lines if not ln.startswith("#")]
+    assert data[0].split(",") == ["day", "action", *TRACE_OBS, "obs_relative_humidity",
+                                  *TRACE_INFO]
+    assert {len(ln.split(",")) for ln in data} == {2 + 7 + len(TRACE_INFO)}
 
 
 def test_trace_determinism(tmp_path):

@@ -13,10 +13,11 @@ from scipy.special import ndtri
 
 from pvclean import distributions
 from pvclean.distributions import (DistributionSpec, ParameterError, _cheng_accept,
-                                   _cheng_accepts, _cheng_constants, is_cheng, sample,
-                                   sample_cheng, sample_many)
+                                   _cheng_accepts, _cheng_constants, sample_many)
 from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
+
+from oracles import cheng_one_by_one, is_cheng
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -108,7 +109,7 @@ def test_weibull_formula():
 
 def test_johnsonsb_formula():
     spec = DistributionSpec("johnsonsb", (0.0, 89.0, -0.606, 1.89))
-    z = RandomStream(5).standard_normals(100)
+    z = ndtri(RandomStream(5).uniforms(100))
     np.testing.assert_array_equal(
         draws(spec, 100, seed=5), 89.0 / (1 + np.exp(-(z + 0.606) / 1.89)))
 
@@ -195,11 +196,15 @@ def test_unclamped_draws_exceed_clamp():
 
 
 def test_sample_matches_sample_many():
-    spec = DistributionSpec("gamma", (1.0, 2.0, 3.0))
-    a = RandomStream(29)
-    b = RandomStream(29)
-    singles = np.array([sample(spec, a) for _ in range(32)])
-    np.testing.assert_array_equal(singles, sample_many(spec, b, 32))
+    # Draws one at a time equal one block of draws, for each rejection sampler.
+    for spec in (DistributionSpec("gamma", (1.0, 2.0, 3.0)),
+                 DistributionSpec("beta", (0.0, 1.0, 0.6, 3.0)),
+                 DistributionSpec("beta", (0.0, 1.0, 4.96, 2.23))):
+        a = RandomStream(29)
+        b = RandomStream(29)
+        singles = np.concatenate([sample_many(spec, a, 1) for _ in range(32)])
+        np.testing.assert_array_equal(singles, sample_many(spec, b, 32))
+        assert a.counter == b.counter
 
 
 def test_rejection_samplers_are_reproducible():
@@ -276,13 +281,17 @@ def test_cheng_classifier_matches_scalar_accept(spec, monkeypatch):
 @pytest.mark.parametrize("params", [(4.96, 2.23), (2.23, 4.96), (3.0, 3.0), (1.001, 1000.0)])
 @pytest.mark.parametrize("n", [0, 1, 2, 31, 500])
 def test_sample_cheng_equals_sample_many(params, n):
+    """A Cheng-BB block from ``sample_many`` equals the per-attempt oracle."""
     spec = DistributionSpec("beta", (10.0, 90.0, *params), clamp_lo=12.0, clamp_hi=88.0)
     for seed in range(3):
         block, one_by_one = RandomStream(seed), RandomStream(seed)
-        x = sample_cheng(spec, block, n)
-        assert x.tobytes() == sample_many(spec, one_by_one, n).tobytes()
+        x = sample_many(spec, block, n)
+        assert x.tobytes() == cheng_one_by_one(spec, one_by_one, n).tobytes()
         assert block.counter == one_by_one.counter
         assert block.uniform() == one_by_one.uniform()
+        raw = sample_many(spec, RandomStream(seed), n, clamp=False)
+        assert raw.tobytes() == cheng_one_by_one(spec, RandomStream(seed), n,
+                                                 clamp=False).tobytes()
 
 
 def test_sample_cheng_extends_a_short_block():
@@ -293,16 +302,9 @@ def test_sample_cheng_extends_a_short_block():
     for n in (1, 300):
         for seed in range(20):
             block, one_by_one = RandomStream(seed), RandomStream(seed)
-            x = sample_cheng(spec, block, n)
-            assert x.tobytes() == sample_many(spec, one_by_one, n).tobytes()
+            x = sample_many(spec, block, n)
+            assert x.tobytes() == cheng_one_by_one(spec, one_by_one, n).tobytes()
             assert block.counter == one_by_one.counter
             assert block.uniform() == one_by_one.uniform()
             extended += one_by_one.counter > 2 * (n + n // 3 + 2)
     assert extended >= 10
-
-
-@pytest.mark.parametrize("spec", [DistributionSpec("beta", (0.0, 1.0, 0.6, 3.0)),
-                                  DistributionSpec("gamma", (0.0, 1.0, 2.0))])
-def test_sample_cheng_rejects_other_specs(spec):
-    with pytest.raises(ParameterError):
-        sample_cheng(spec, RandomStream(0), 3)

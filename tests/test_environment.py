@@ -20,7 +20,8 @@ from pvclean import soiling as phys
 from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
                                  PRESETS, CleaningEnv, ConfigError,
                                  EpisodeDoneError, ScenarioConfig,
-                                 load_config, preset, save_config)
+                                 load_config, observation_scales, preset,
+                                 save_config)
 from pvclean.soiling import SoilingParams
 from pvclean.weather import KMH_PER_MS, generate_weather, make_streams
 
@@ -316,6 +317,16 @@ def test_observation_normalization_modes():
                "particulate_matter", "irradiance")]
     np.testing.assert_allclose(np.asarray(obs) * scales,
                                np.asarray(obs10) * 10.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("include_humidity", [False, True])
+def test_observation_scales_follow_feature_order(include_humidity):
+    cfg = ScenarioConfig(**SMALL, include_humidity=include_humidity)
+    expect = [5.0, 100.0, 55.0, 30.0, 5.0, 9000.0, 100.0][:cfg.obs_dim]
+    assert observation_scales(cfg).tolist() == expect
+    div10 = ScenarioConfig(**SMALL, include_humidity=include_humidity,
+                           normalization_mode="div10")
+    assert observation_scales(div10).tolist() == [10.0] * cfg.obs_dim
 
 
 def test_observation_feature_scaled_range():

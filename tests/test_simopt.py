@@ -97,6 +97,15 @@ def test_evaluate_interval_matches_slow_oracle(z):
                                                rel=1e-12)
 
 
+def assert_equals_all_replications_form(z, cfg, reps):
+    weather = precompute_weather(cfg, reps)
+    ev = evaluate_interval(z, cfg, reps, days=day_arrays(cfg, weather))
+    energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(z, cfg, weather)
+    assert ev.costs == [float(c) for c in energy_loss + cleaning_cost]
+    assert ev.mean_energy_loss_cost == float(energy_loss.mean())
+    assert (ev.mean_cleanings, ev.mean_cleaning_cost) == (cleanings, cleaning_cost)
+
+
 @settings(max_examples=60, deadline=None)
 @given(horizon=st.integers(1, 3), reps=st.integers(1, 4), start_month=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32 - 1), sp=soiling_params(), data=st.data())
@@ -104,12 +113,16 @@ def test_evaluate_interval_equals_all_replications_form(horizon, reps, start_mon
                                                         sp, data):
     cfg = replace(CFG, horizon_years=horizon, start_month=start_month, seed=seed, soiling=sp)
     z = data.draw(st.integers(1, cfg.n_days + 3), label="z")
-    weather = precompute_weather(cfg, reps)
-    ev = evaluate_interval(z, cfg, reps, weather=weather)
-    energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(z, cfg, weather)
-    assert ev.costs == [float(c) for c in energy_loss + cleaning_cost]
-    assert ev.mean_energy_loss_cost == float(energy_loss.mean())
-    assert (ev.mean_cleanings, ev.mean_cleaning_cost) == (cleanings, cleaning_cost)
+    assert_equals_all_replications_form(z, cfg, reps)
+
+
+def test_evaluate_interval_equals_all_replications_form_past_the_root():
+    """One year-long segment whose soiling passes the efficiency root s = 3,
+    so the cubic is summed where ``s**3`` and ``s*s*s`` round apart."""
+    eff_max, c3, c2, s0 = SoilingParams().eff_max, -0.01, 0.05, 3.0
+    c1 = -(eff_max + c2 * s0 ** 2 + c3 * s0 ** 3) / s0
+    sp = SoilingParams(beta_residue=1.0, cubic=(c3, c2, c1))
+    assert_equals_all_replications_form(365, replace(CFG, soiling=sp), 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,9 +141,10 @@ def test_optimize_curve_equals_single_intervals_and_oracle(horizon, reps, start_
           mock.patch.object(simopt, "_BLOCK_ELEMENTS", block)):
         _, curve = optimize(cfg, z_min, z_max, reps)
     weather = precompute_weather(cfg, reps)
+    days = day_arrays(cfg, weather)
     assert [e.z for e in curve] == list(range(z_min, z_max + 1))
     for e in curve:
-        single = evaluate_interval(e.z, cfg, reps, weather=weather)
+        single = evaluate_interval(e.z, cfg, reps, days=days)
         energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(
             e.z, cfg, weather)
         fields = (e.costs, e.mean_energy_loss_cost, e.mean_cleanings, e.mean_cleaning_cost)
@@ -157,10 +171,22 @@ def test_evaluate_interval_rejects_bad_z():
         evaluate_interval(0, CFG)
 
 
+@pytest.mark.parametrize("z", [2.5, True, "3"])
+def test_evaluate_interval_rejects_non_integer_z(z):
+    with pytest.raises(ValueError, match=f"cleaning interval must be an integer >= 1, got {z!r}"):
+        evaluate_interval(z, CFG, replications=2)
+
+
+def test_evaluate_interval_accepts_numpy_integer_z():
+    ev = evaluate_interval(np.int64(3), CFG, replications=2)
+    assert type(ev.z) is int
+    assert ev.costs == evaluate_interval(3, CFG, replications=2).costs
+
+
 def test_common_random_numbers_across_intervals():
-    weather = precompute_weather(CFG, 3)
-    a = evaluate_interval(5, CFG, 3, weather=weather)
-    b = evaluate_interval(50, CFG, 3, weather=weather)
+    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    a = evaluate_interval(5, CFG, 3, days=days)
+    b = evaluate_interval(50, CFG, 3, days=days)
     # Same replication seeds: energy loss must dominate identically, i.e.
     # per-replication cost differences stay far below across-replication
     # variation for a smooth curve.  Weather reuse is what we assert here.
@@ -189,6 +215,13 @@ def test_optimize_tie_breaks_toward_smaller_z():
 def test_optimize_validates_range():
     with pytest.raises(ValueError):
         optimize(CFG, z_min=10, z_max=5)
+
+
+@pytest.mark.parametrize("z_min, z_max, bad", [(1.5, 3, 1.5), (1, 3.0, 3.0),
+                                               (False, 3, False), (0, 3, 0)])
+def test_optimize_rejects_non_integer_bounds(z_min, z_max, bad):
+    with pytest.raises(ValueError, match=f"cleaning interval must be an integer >= 1, got {bad!r}"):
+        optimize(CFG, z_min, z_max, replications=2)
 
 
 def test_calibrate_panel_area_inverts_target():

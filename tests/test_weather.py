@@ -1,8 +1,9 @@
 """Weather model: calendar, grid validation, persistence, sampling.
 
 ``sample_day`` below is the per-day reference: it draws each variable one
-value at a time with ``distributions.sample``.  ``generate_weather`` must
-equal it bit for bit, in values and in where it leaves every stream.
+value at a time, a Cheng-BB beta one attempt at a time
+(``oracles.sample_one``).  ``generate_weather`` must equal it bit for bit,
+in values and in where it leaves every stream.
 """
 
 from dataclasses import dataclass
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvclean.distributions import DistributionSpec, sample
+from pvclean.distributions import DistributionSpec
 from pvclean.weather import (CLAMPS, MONTH_LENGTHS, VARIABLES,
                              ModelFormatError, MonthlyWeatherModel,
                              default_model, generate_weather, load_model,
                              make_streams, month_of_day, save_model)
+
+from oracles import sample_one
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ def sample_day(model: MonthlyWeatherModel, month: int, streams: dict) -> Weather
     """Draw one clamped value per variable from ``month``'s specs."""
     if not 1 <= month <= 12:
         raise ValueError(f"month must be in 1..12, got {month}")
-    return WeatherDay(**{var: sample(model.spec(month, var), streams[var])
+    return WeatherDay(**{var: sample_one(model.spec(month, var), streams[var])
                          for var in VARIABLES})
 
 
