@@ -18,9 +18,11 @@ transform families consume exactly one uniform per draw (:func:`transform`
 maps uniforms to draws).  Gamma and beta are rejection samplers and consume
 a variable (but deterministic, given the stream state) number of uniforms;
 every weather variable owns its own stream, so this never perturbs the
-other variables' draws.  :func:`sample_many` is the one sampler entry: it
-draws a Cheng-BB beta as a block, with numpy deciding which attempts are
-accepted, and leaves the stream where drawing one attempt at a time would.
+other variables' draws.  :func:`sample_many` draws from one stream and
+:func:`sample_streams` from several, one row each.  Both draw a Cheng-BB
+beta as a block, with numpy deciding which attempts are accepted (for all
+streams in one pass), and leave each stream where drawing one attempt at a
+time would.
 
 Samples are clamped to the physical bounds carried by the spec.  Clamping
 (rather than resampling) keeps stream alignment deterministic.
@@ -37,7 +39,7 @@ from scipy.special import ndtri
 from .rng import RandomStream
 
 __all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
-           "transform", "sample_many"]
+           "transform", "sample_many", "sample_streams"]
 
 FAMILY_ARITY = {
     "normal": 2,
@@ -260,7 +262,7 @@ _CHENG_MARGIN = 1e-9
 
 
 def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> np.ndarray:
-    """:func:`_cheng_accept` of every attempt (u1[i], u2[i]), decided by numpy.
+    """:func:`_cheng_accept` of every attempt (u1[i], u2[i]) of two same-shaped arrays.
 
     numpy decides an attempt only when each of the three test margins is
     farther from 0 than ``_CHENG_MARGIN`` of the summed size of all terms;
@@ -282,34 +284,45 @@ def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> np.ndarray:
         # False for a NaN or infinite margin or size.
         sure = np.minimum(np.minimum(np.abs(m1), np.abs(m2)), np.abs(m3)) > _CHENG_MARGIN * size
     accept = (m1 >= 0.0) | (m2 >= 0.0) | (m3 >= 0.0)
-    unsure = np.flatnonzero(~sure)
+    unsure = ~sure
     accept[unsure] = [_cheng_accept(x, y, c)
                       for x, y in zip(u1[unsure].tolist(), u2[unsure].tolist())]
     return accept
 
 
-def _cheng_variates(a: float, b: float, stream: RandomStream, n: int) -> np.ndarray:
-    """``n`` standard Cheng-BB beta draws, for shapes min(a, b) > 1.
+def _cheng_variates(a: float, b: float, streams: list, n: int) -> np.ndarray:
+    """``n`` standard Cheng-BB beta draws from each stream, shaped (len(streams), n).
 
-    Each attempt takes 2 uniforms (u1, u2) and is accepted by
-    :func:`_cheng_accept`.  Peeks at a block of attempts (about 2.7 n + 4
-    uniforms, doubled while it holds fewer than ``n`` acceptances), lets
-    numpy find the first ``n`` accepted attempts, and skips the stream past
-    the uniforms they used, so it ends where drawing one attempt at a time
-    would leave it.  The variates come from the scalar expression
-    :func:`_cheng_value`.
+    For shapes min(a, b) > 1.  Each attempt takes 2 uniforms (u1, u2) and
+    is accepted by :func:`_cheng_accept`.  Peeks at a block of attempts of
+    every stream (about 2.7 n + 4 uniforms each), lets numpy classify all
+    blocks in one pass, and doubles the block of each stream whose block
+    holds fewer than ``n`` acceptances.  Each stream is then skipped past
+    the uniforms its first ``n`` accepted attempts used, so it ends where
+    drawing one attempt at a time would leave it.  The variates come from
+    the scalar expression :func:`_cheng_value`.
     """
+    if n == 0:
+        return np.empty((len(streams), 0))
     c = _cheng_constants(a, b)
+    u1 = [None] * len(streams)  # per stream, the first uniforms of its accepted attempts
+    todo = list(range(len(streams)))
     attempts = n + n // 3 + 2
-    while True:
-        u = stream.peek(2 * attempts)
-        u1 = u[0::2]
-        hits = np.flatnonzero(_cheng_accepts(u1, np.maximum(u[1::2], _TINY), c))[:n]
-        if len(hits) == n:
-            break
+    while todo:
+        u = np.array([streams[r].peek(2 * attempts) for r in todo])
+        first = u[:, 0::2]
+        accept = _cheng_accepts(first, np.maximum(u[:, 1::2], _TINY), c)
+        short = []
+        for r, row, accepted in zip(todo, first, accept):
+            hits = np.flatnonzero(accepted)[:n]
+            if len(hits) < n:
+                short.append(r)
+                continue
+            streams[r].skip(2 * int(hits[-1] + 1))
+            u1[r] = row[hits].tolist()
+        todo = short
         attempts *= 2
-    stream.skip(2 * int(hits[-1] + 1) if n else 0)
-    return np.array([_cheng_value(v, a, c) for v in u1[hits].tolist()])
+    return np.array([[_cheng_value(v, a, c) for v in row] for row in u1])
 
 
 def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
@@ -339,6 +352,11 @@ def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     raise ParameterError(f"{fam} is not an inverse-transform family")
 
 
+def _is_cheng(spec: DistributionSpec) -> bool:
+    """Whether ``spec`` is a beta drawn by Cheng BB (both shapes > 1)."""
+    return spec.family == "beta" and min(spec.params[2:]) > 1.0
+
+
 def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
     fam, p = spec.family, spec.params
     if fam in INVERSE_FAMILIES:
@@ -348,7 +366,7 @@ def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
         return loc + scale * np.array([_gamma_variate(shape, stream) for _ in range(n)])
     if fam == "beta":
         lo, hi, a, b = p
-        x = (_cheng_variates(a, b, stream, n) if min(a, b) > 1.0
+        x = (_cheng_variates(a, b, [stream], n)[0] if _is_cheng(spec)
              else np.array([_johnk_variate(a, b, stream) for _ in range(n)]))
         return lo + (hi - lo) * x
     raise ParameterError(f"unknown family {fam!r}")  # pragma: no cover
@@ -361,3 +379,17 @@ def sample_many(spec: DistributionSpec, stream: RandomStream, n: int,
     if clamp:
         x = np.clip(x, spec.clamp_lo, spec.clamp_hi)
     return x
+
+
+def sample_streams(spec: DistributionSpec, streams: list, n: int) -> np.ndarray:
+    """``sample_many(spec, streams[r], n)`` as row r of one (len(streams), n) array.
+
+    A Cheng-BB beta classifies the attempts of all streams in one numpy
+    pass; every other family is drawn one stream at a time.
+    """
+    n = int(n)
+    if not _is_cheng(spec):
+        return np.array([sample_many(spec, s, n) for s in streams]).reshape(len(streams), n)
+    lo, hi, a, b = spec.params
+    x = lo + (hi - lo) * _cheng_variates(a, b, streams, n)
+    return np.clip(x, spec.clamp_lo, spec.clamp_hi)

@@ -103,6 +103,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer: {value!r}")
         if self.horizon_years < 1:
             raise ConfigError(f"horizon_years must be >= 1: {self.horizon_years}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0: {self.seed}")
         if self.reward_mode not in ("per_step", "terminal"):
             raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
         if self.normalization_mode not in ("feature_scaled", "div10"):

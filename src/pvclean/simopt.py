@@ -181,6 +181,9 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
     z = cleaning_interval(z)
     if days is None:
         days = day_arrays(config, precompute_weather(config, replications))
+    elif len(days["d_cal"]) != replications:
+        raise ValueError(f"days holds {len(days['d_cal'])} replications, "
+                         f"not {replications}")
     if energy_loss is None:
         energy_loss = _energy_losses([z], config, days)[0]
     cleanings = -(-days["d_cal"].shape[1] // z) - 1

@@ -5,7 +5,9 @@ x 5-variable grid of fitted distributions (temperature degC, wind speed
 m/s, particulate matter g/m2, daily global horizontal irradiance
 Wh/m2/day, relative humidity %).  Each simulated day
 draws one value per variable from that day's month, independently of other
-days, using one dedicated random stream per variable.
+days, using one dedicated random stream per variable.  Replications each
+have their own streams and are drawn together, month by month
+(:func:`generate_weather`); each row equals the replication drawn alone.
 
 A 365-day year with standard month lengths (no leap years) is used
 throughout, so a 20-year horizon is exactly 7300 days.
@@ -18,7 +20,7 @@ from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import INVERSE_FAMILIES, DistributionSpec, sample_many, transform
+from .distributions import INVERSE_FAMILIES, DistributionSpec, sample_streams, transform
 from .rng import RandomStream
 
 __all__ = [
@@ -133,17 +135,21 @@ def month_of_day(day_index, start_month: int = 1):
     return _YEAR_MONTHS[(day_index + _MONTH_STARTS[(start_month - 1) % 12]) % 365]
 
 
-def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: dict,
+def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
                      start_month: int = 1) -> dict:
-    """Draw ``n_days`` of weather as one array per variable.
+    """Draw ``n_days`` of weather for each :func:`make_streams` dict in ``streams``.
 
-    Draw-for-draw identical to drawing each day in order, one value at a
-    time, from that day's month: the same values, and every stream left
-    with the same ``counter`` and the same next uniform.  Each variable
-    draws its whole trajectory at once: each maximal stretch of
-    inverse-transform days takes one ``uniforms`` call, and each stretch
-    of a rejection-family month (gamma, beta) one
-    :func:`~pvclean.distributions.sample_many` call.
+    Returns one (len(streams), n_days) array per variable.  Row r is
+    draw-for-draw identical to drawing each day in order, one value at a
+    time, from that day's month with ``streams[r]``: the same values, and
+    every stream left with the same ``counter`` and the same next uniform.
+    The replications are drawn month-major: each maximal stretch of
+    inverse-transform days takes one ``uniforms`` call per stream, and each
+    month's transform runs once over all rows; each stretch of a
+    rejection-family month takes one
+    :func:`~pvclean.distributions.sample_streams` call, which classifies a
+    Cheng-BB beta's attempts for all streams at once and draws gamma and
+    Johnk betas one stream at a time.
 
     Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
     ``math``'s by an ulp, so numpy may only classify (which rejection
@@ -151,46 +157,43 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: dict,
     the per-day path uses: the numpy inverse transforms, and the scalar
     ``math`` code of the rejection samplers.
     """
+    if not streams:
+        raise ValueError("need at least one replication")
     months = month_of_day(np.arange(n_days), start_month)
-    return {var: _trajectory([model.spec(m, var) for m in range(1, 13)],
-                             months, streams[var])
+    return {var: _trajectory([model.spec(m, var) for m in range(1, 13)], months,
+                             [s[var] for s in streams])
             for var in VARIABLES}
 
 
-def _trajectory(specs: list, months: np.ndarray, stream: RandomStream) -> np.ndarray:
-    """One variable's clamped draws for the days of ``months`` (1..12 each)."""
+def _trajectory(specs: list, months: np.ndarray, streams: list) -> np.ndarray:
+    """One variable's clamped draws for the days of ``months`` (1..12 each), one row per stream."""
     inverse = np.array([spec.family in INVERSE_FAMILIES for spec in specs])
     # Stretch key: 0 on inverse-transform days, the month on the others, so
     # consecutive inverse-transform months make one stretch.
     key = np.where(inverse[months - 1], 0, months)
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    x = np.empty(len(months))
-    u = np.empty(len(months))  # the uniforms of the inverse-transform days
+    x = np.empty((len(streams), len(months)))
+    u = np.empty_like(x)  # the uniforms of the inverse-transform days
     for start, stop in zip(starts, [*starts[1:], len(months)]):
         if key[start] == 0:
-            u[start:stop] = stream.uniforms(stop - start)
+            for row, stream in zip(u, streams):
+                row[start:stop] = stream.uniforms(stop - start)
         else:
-            x[start:stop] = sample_many(specs[key[start] - 1], stream, stop - start)
+            x[:, start:stop] = sample_streams(specs[key[start] - 1], streams, stop - start)
     for m in np.flatnonzero(inverse) + 1:
-        days = months == m
-        if days.any():
+        days = np.flatnonzero(months == m)
+        if days.size:
             spec = specs[m - 1]
-            x[days] = np.clip(transform(spec, u[days]), spec.clamp_lo, spec.clamp_hi)
+            x[:, days] = np.clip(transform(spec, u[:, days]), spec.clamp_lo, spec.clamp_hi)
     return x
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,
                   start_month: int = 1) -> dict:
-    """Weather of several replications, one (replications, n_days) array per variable.
+    """:func:`generate_weather` on the :func:`make_streams` of each entropy.
 
-    Row r is :func:`generate_weather` on the streams of ``entropies[r]``,
-    exactly as if that replication were drawn alone.
+    Row r is exactly the weather replication ``entropies[r]`` gets when
+    drawn alone.
     """
-    if not entropies:
-        raise ValueError("need at least one replication")
-    out = {var: np.empty((len(entropies), n_days)) for var in VARIABLES}
-    for r, entropy in enumerate(entropies):
-        for var, vals in generate_weather(model, n_days, make_streams(entropy),
-                                          start_month).items():
-            out[var][r] = vals
-    return out
+    return generate_weather(model, n_days, [make_streams(e) for e in entropies],
+                            start_month)

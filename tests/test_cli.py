@@ -165,6 +165,17 @@ def test_zero_replications_is_an_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["simopt", "--reps", "2", "--zmax", "3"],
+                                     ["eval", "interval:20", "--episodes", "1"]])
+def test_negative_seed_is_an_error(tmp_path, capsys, command):
+    rc = run([*command, "--case", "S1exp", "--horizon", "1", "--seed", "-1",
+              "--out", tmp_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0: -1"]
+
+
 def test_nan_tariff_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     save_config(preset("S1exp", horizon_years=1), path)

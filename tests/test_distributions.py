@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pvclean import distributions
 from pvclean.distributions import (DistributionSpec, ParameterError, _cheng_accept,
-                                   _cheng_accepts, _cheng_constants, sample_many)
+                                   _cheng_accepts, _cheng_constants, _cheng_variates,
+                                   sample_many, sample_streams)
 from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
 
@@ -308,3 +311,61 @@ def test_sample_cheng_extends_a_short_block():
             assert block.uniform() == one_by_one.uniform()
             extended += one_by_one.counter > 2 * (n + n // 3 + 2)
     assert extended >= 10
+
+
+def assert_cheng_streams(a, b, seeds, n):
+    """``_cheng_variates`` over ``seeds``' streams equals per-stream calls and
+    the per-attempt oracle, row by row, and leaves each stream where they do."""
+    spec = DistributionSpec("beta", (0.0, 1.0, a, b))
+    streams = [RandomStream(s) for s in seeds]
+    x = _cheng_variates(a, b, streams, n)
+    assert x.shape == (len(seeds), n)
+    for row, stream, seed in zip(x, streams, seeds):
+        alone, one_by_one = RandomStream(seed), RandomStream(seed)
+        assert row.tobytes() == _cheng_variates(a, b, [alone], n)[0].tobytes()
+        assert row.tobytes() == cheng_one_by_one(spec, one_by_one, n, clamp=False).tobytes()
+        assert stream.counter == alone.counter == one_by_one.counter
+        assert stream.uniform() == alone.uniform() == one_by_one.uniform()
+
+
+_SHAPE = st.one_of(st.floats(1.001, 30.0), st.sampled_from([1.001, 1000.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SHAPE, b=_SHAPE, n=st.integers(0, 80),
+       seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=6))
+def test_cheng_variates_of_streams_equal_per_stream_calls(a, b, n, seeds):
+    assert_cheng_streams(a, b, seeds, n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 31])
+def test_cheng_variates_doubles_only_the_short_streams(n):
+    # About two in three attempts are accepted at (1.001, 1000), so some of
+    # these streams need more than the first 2 * (n + n // 3 + 2) uniforms.
+    seeds = list(range(12))
+    used = []
+    for seed in seeds:
+        stream = RandomStream(seed)
+        cheng_one_by_one(DistributionSpec("beta", (0.0, 1.0, 1.001, 1000.0)), stream, n)
+        used.append(stream.counter)
+    short = [u > 2 * (n + n // 3 + 2) for u in used]
+    assert any(short) and not all(short)
+    assert_cheng_streams(1.001, 1000.0, seeds, n)
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec("beta", (10.0, 90.0, 4.96, 2.23), clamp_lo=12.0, clamp_hi=88.0),
+    DistributionSpec("beta", (0.0, 40.0, 0.6, 3.0)),
+    DistributionSpec("gamma", (0.0, 59.1, 1.06), clamp_lo=1.0, clamp_hi=100.0),
+    DistributionSpec("lognormal", (17.0, 1.16, 0.559)),
+], ids=lambda s: s.family + str(s.params[-2:]))
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_sample_streams_rows_equal_sample_many(spec, n):
+    streams = [RandomStream(s) for s in range(4)]
+    x = sample_streams(spec, streams, n)
+    assert x.shape == (4, n)
+    for seed, row, stream in zip(range(4), x, streams):
+        alone = RandomStream(seed)
+        assert row.tobytes() == sample_many(spec, alone, n).tobytes()
+        assert stream.counter == alone.counter
+        assert stream.uniform() == alone.uniform()

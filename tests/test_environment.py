@@ -90,6 +90,17 @@ def test_config_rejects_fractional_integers(field):
         preset("S1exp", **{field: 1.5})
 
 
+@pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+def test_config_rejects_a_negative_seed(tmp_path, seed):
+    with pytest.raises(ConfigError, match=f"seed must be >= 0: {seed}"):
+        preset("S1exp", seed=seed)
+    path = tmp_path / "cfg.json"
+    save_config(preset("S1exp"), path)
+    path.write_text(path.read_text().replace('"seed": 0', f'"seed": {seed}'))
+    with pytest.raises(ConfigError, match=f"cfg.json: seed must be >= 0: {seed}"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("value", ["no", 0, 1, None])
 def test_config_requires_a_bool_include_humidity(value):
     with pytest.raises(ConfigError, match="include_humidity"):
@@ -213,14 +224,14 @@ def test_single_step_oracle():
     cfg = ScenarioConfig(**SMALL, seed=11)
     env = CleaningEnv(cfg)
     env.reset()
-    weather = generate_weather(env.model, cfg.n_days, make_streams(cfg.seed))
+    weather = generate_weather(env.model, cfg.n_days, [make_streams(cfg.seed)])
     res = env.step([0])
-    ws = weather["wind_speed"][0] / KMH_PER_MS
-    d = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"][0]),
-                       weather["relative_humidity"][0])
+    ws = weather["wind_speed"][0, 0] / KMH_PER_MS
+    d = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"][0, 0]),
+                       weather["relative_humidity"][0, 0])
     s = max(d, cfg.soiling.beta_residue)
     eff = phys.efficiency(s, 1.0)
-    loss = cfg.tariff * cfg.panel_area * (weather["irradiance"][0] / 1000.0) * (
+    loss = cfg.tariff * cfg.panel_area * (weather["irradiance"][0, 0] / 1000.0) * (
         cfg.soiling.eff_max - eff)
     assert res.info["soiling"][0] == pytest.approx(s, rel=1e-15)
     assert res.info["energy_loss_cost"][0] == pytest.approx(loss, rel=1e-12)

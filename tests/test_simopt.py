@@ -66,7 +66,8 @@ def slow_interval_cost(z, config, replication):
     """Day-by-day scalar re-implementation of one fixed-interval episode."""
     model = default_model()
     streams = make_streams(replication_entropy(config.seed, replication))
-    w = generate_weather(model, config.n_days, streams, config.start_month)
+    w = {var: x[0] for var, x in
+         generate_weather(model, config.n_days, [streams], config.start_month).items()}
     sp = config.soiling
     soil, days, cost, cleanings = 0.0, 0, 0.0, 0
     for t in range(config.n_days):
@@ -181,6 +182,13 @@ def test_evaluate_interval_accepts_numpy_integer_z():
     ev = evaluate_interval(np.int64(3), CFG, replications=2)
     assert type(ev.z) is int
     assert ev.costs == evaluate_interval(3, CFG, replications=2).costs
+
+
+@pytest.mark.parametrize("replications", [30, 2, 0])
+def test_evaluate_interval_rejects_days_of_other_replications(replications):
+    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    with pytest.raises(ValueError, match=f"days holds 3 replications, not {replications}"):
+        evaluate_interval(5, CFG, replications, days=days)
 
 
 def test_common_random_numbers_across_intervals():

@@ -2,8 +2,10 @@
 
 ``sample_day`` below is the per-day reference: it draws each variable one
 value at a time, a Cheng-BB beta one attempt at a time
-(``oracles.sample_one``).  ``generate_weather`` must equal it bit for bit,
-in values and in where it leaves every stream.
+(``oracles.sample_one``).  ``generate_weather`` and ``stack_weather`` draw
+all replications month by month, and each row must equal it bit for bit,
+run on that replication alone, in values and in where it leaves every
+stream.
 """
 
 from dataclasses import dataclass
@@ -13,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvclean import distributions
 from pvclean.distributions import DistributionSpec
 from pvclean.weather import (CLAMPS, MONTH_LENGTHS, VARIABLES,
                              ModelFormatError, MonthlyWeatherModel,
                              default_model, generate_weather, load_model,
-                             make_streams, month_of_day, save_model)
+                             make_streams, month_of_day, save_model, stack_weather)
 
-from oracles import sample_one
+from oracles import is_cheng, sample_one
 
 
 @dataclass(frozen=True)
@@ -187,22 +190,27 @@ def per_day_weather(model, n_days, entropy, start_month=1):
     return {var: np.array([getattr(day, var) for day in days]) for var in VARIABLES}, streams
 
 
-def assert_same_draws(model, n_days, entropy, start_month):
-    streams = make_streams(entropy)
+def assert_same_draws(model, n_days, entropies, start_month):
+    """Month-major weather of ``entropies`` equals each one drawn day by day alone."""
+    streams = [make_streams(entropy) for entropy in entropies]
     arrays = generate_weather(model, n_days, streams, start_month)
-    expect, oracle = per_day_weather(model, n_days, entropy, start_month)
-    for var in VARIABLES:
-        assert arrays[var].tobytes() == expect[var].tobytes(), var
-        assert streams[var].counter == oracle[var].counter, var
-        assert streams[var].uniform() == oracle[var].uniform(), var
+    stacked = stack_weather(model, n_days, entropies, start_month)
+    for r, entropy in enumerate(entropies):
+        expect, oracle = per_day_weather(model, n_days, entropy, start_month)
+        for var in VARIABLES:
+            assert arrays[var].shape == stacked[var].shape == (len(entropies), n_days)
+            assert arrays[var][r].tobytes() == expect[var].tobytes(), (r, var)
+            assert stacked[var][r].tobytes() == expect[var].tobytes(), (r, var)
+            assert streams[r][var].counter == oracle[var].counter, (r, var)
+            assert streams[r][var].uniform() == oracle[var].uniform(), (r, var)
 
 
 def test_generate_weather_matches_per_day_sampling():
-    assert_same_draws(default_model(), 400, 5, 1)  # spans a year boundary
+    assert_same_draws(default_model(), 400, [5], 1)  # spans a year boundary
 
 
 def test_generate_weather_start_month():
-    assert_same_draws(default_model(), 60, 8, 12)
+    assert_same_draws(default_model(), 60, [8], 12)
 
 
 def synthetic_model():
@@ -249,22 +257,91 @@ _ENTROPY = st.one_of(st.integers(0, 2**32),
 @settings(max_examples=30, deadline=None)
 @given(entropy=_ENTROPY, start_month=st.integers(1, 12), n_days=st.integers(1, 800))
 def test_generate_weather_equals_per_day_oracle(model, entropy, start_month, n_days):
-    assert_same_draws(model, n_days, entropy, start_month)
+    assert_same_draws(model, n_days, [entropy], start_month)
 
 
 def test_generate_weather_no_days():
-    streams = make_streams(0)
+    streams = [make_streams(0), make_streams(1)]
     arrays = generate_weather(default_model(), 0, streams)
-    assert all(arrays[var].shape == (0,) for var in VARIABLES)
-    assert all(s.counter == 0 for s in streams.values())
+    assert all(arrays[var].shape == (2, 0) for var in VARIABLES)
+    assert all(s.counter == 0 for row in streams for s in row.values())
+
+
+def test_generate_weather_needs_a_replication():
+    with pytest.raises(ValueError, match="at least one replication"):
+        generate_weather(default_model(), 10, [])
+    with pytest.raises(ValueError, match="at least one replication"):
+        stack_weather(default_model(), 10, [])
 
 
 def test_generate_weather_deterministic():
     model = default_model()
-    a = generate_weather(model, 365, make_streams(3))
-    b = generate_weather(model, 365, make_streams(3))
+    a = generate_weather(model, 365, [make_streams(3)])
+    b = generate_weather(model, 365, [make_streams(3)])
     for var in VARIABLES:
         np.testing.assert_array_equal(a[var], b[var])
+
+
+def cheng_model():
+    """Cheng-BB betas in most cells: every month of temperature and
+    irradiance, adjacent months with equal and with different shapes,
+    shapes whose first block often runs short (1.001, 1000), and a few
+    gamma, Johnk and inverse-transform months in between."""
+    shapes = [(4.96, 2.23), (2.23, 4.96), (3.0, 3.0), (1.001, 1000.0), (10.2, 6.35),
+              (1.5, 50.0), (5.98, 1.74), (4.51, 3.15), (1.2, 1.2), (20.0, 2.0),
+              (2.0, 20.0), (1.05, 1.5)]
+    other = {"wind_speed": {3: ("gamma", (0.0, 10.0, 0.5)), 8: ("lognormal", (3.77, 1.82, 0.672))},
+             "particulate_matter": {m: ("weibull", (0.0, 1.5, 0.2)) for m in (2, 4, 6, 8, 10)},
+             "relative_humidity": {12: ("gamma", (0.0, 59.1, 1.06)),
+                                   6: ("beta", (0.0, 100.0, 0.7, 0.7))}}
+    table = {}
+    for i, var in enumerate(VARIABLES):
+        lo, hi = CLAMPS[var]
+        for m in range(1, 13):
+            a, b = shapes[(m - 1 + 3 * i) % 12] if var != "relative_humidity" else (10.2, 6.35)
+            family, params = other.get(var, {}).get(m, ("beta", (lo, hi, a, b)))
+            table[(m, var)] = DistributionSpec(family, params, lo, hi)
+    return MonthlyWeatherModel(table)
+
+
+@pytest.mark.parametrize("model", [default_model(), synthetic_model(), cheng_model()],
+                         ids=["default", "synthetic", "cheng"])
+@settings(max_examples=25, deadline=None)
+@given(entropies=st.lists(_ENTROPY, min_size=1, max_size=4),
+       start_month=st.integers(1, 12), horizon=st.integers(1, 2))
+def test_stack_weather_equals_per_day_oracle_by_replication(model, entropies, start_month,
+                                                            horizon):
+    assert_same_draws(model, 365 * horizon, entropies, start_month)
+
+
+@pytest.mark.parametrize("start_month", range(1, 13))
+def test_stack_weather_every_start_month(start_month):
+    assert_same_draws(cheng_model(), 365, [start_month, (start_month, 0, 7), 2 ** 31],
+                      start_month)
+
+
+def test_stack_weather_classifies_each_cheng_run_once(monkeypatch):
+    """Each Cheng month-run of each variable is one classifier call over all
+    replications; the doubled blocks of the replications that ran short
+    are classified in later, narrower calls."""
+    calls = []
+
+    def recording(u1, u2, c):
+        calls.append(len(u1))
+        return accepts(u1, u2, c)
+
+    accepts = distributions._cheng_accepts
+    monkeypatch.setattr(distributions, "_cheng_accepts", recording)
+    model, entropies = cheng_model(), list(range(6))
+    stacked = stack_weather(model, 365, entropies)
+    # One year from January visits each month once, and each month is its own run.
+    runs = sum(is_cheng(model.spec(m, var)) for m in range(1, 13) for var in VARIABLES)
+    assert calls.count(len(entropies)) == runs
+    assert any(0 < n < len(entropies) for n in calls)
+    for r, entropy in enumerate(entropies):
+        expect, _ = per_day_weather(model, 365, entropy)
+        for var in VARIABLES:
+            assert stacked[var][r].tobytes() == expect[var].tobytes(), (r, var)
 
 
 def test_model_spec_is_distribution_spec():
