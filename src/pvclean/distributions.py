@@ -13,16 +13,25 @@ weather table shipped with the package:
 * ``johnsonsb(loc, range, d, x)`` — loc + range / (1 + exp(-(Z - d)/x))
 * ``loglogistic(loc, shape, scale)`` — loc + scale * (U/(1-U)) ** (1/shape)
 
-All normals come from the stream's inverse-CDF transform, so the inverse
-transform families consume exactly one uniform per draw (:func:`transform`
-maps uniforms to draws).  Gamma and beta are rejection samplers and consume
-a variable (but deterministic, given the stream state) number of uniforms;
-every weather variable owns its own stream, so this never perturbs the
-other variables' draws.  :func:`sample_many` draws from one stream and
-:func:`sample_streams` from several, one row each.  Both draw a Cheng-BB
-beta as a block, with numpy deciding which attempts are accepted (for all
-streams in one pass), and leave each stream where drawing one attempt at a
-time would.
+Every normal Z is :func:`ndtri` of one uniform: an in-tree port of cephes'
+``ndtri``, equal bit for bit to ``scipy.special.ndtri``, so drawing needs
+numpy alone.  The inverse-transform families consume exactly one uniform
+per draw (:func:`transform` maps uniforms to draws).  Gamma and beta are
+rejection samplers and consume a variable (but deterministic, given the
+stream state) number of uniforms; every weather variable owns its own
+stream, so this never perturbs the other variables' draws.
+:func:`sample_many` draws from one stream and :func:`sample_streams` from
+several, one row each.  Gamma and Cheng-BB beta peek at a block of each
+stream and leave it where drawing one uniform at a time would; for a
+Cheng-BB beta numpy decides which attempts are accepted, for all streams
+in one pass.
+
+Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
+``math``'s (the C library's) by an ulp, so a value that the C library
+computes stays scalar ``math`` code.  That covers the rejection tests and
+values, and the two logs of ``ndtri``'s tails, where cephes calls the C
+``log``: :func:`ndtri` takes them from numpy's element-by-element loop
+over the C library's ``log`` (:func:`_logs`), never its vectorized one.
 
 Samples are clamped to the physical bounds carried by the spec.  Clamping
 (rather than resampling) keeps stream alignment deterministic.
@@ -34,12 +43,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .rng import RandomStream
 
 __all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
-           "transform", "sample_many", "sample_streams"]
+           "ndtri", "transform", "sample_many", "sample_streams"]
 
 FAMILY_ARITY = {
     "normal": 2,
@@ -160,7 +168,10 @@ class DistributionSpec:
         raise ValueError(f"no closed-form variance for {fam}")
 
     def cdf(self, x) -> np.ndarray:
-        """Closed-form CDF for the inverse-transform families (test oracle)."""
+        """Closed-form CDF for the inverse-transform families (test oracle).
+
+        Needs scipy (``ndtr``), which only the ``test`` extra installs.
+        """
         from scipy.special import ndtr
 
         fam, p = self.family, self.params
@@ -188,24 +199,172 @@ class DistributionSpec:
             f"cdf oracle only provided for lognormal/johnsonsb/loglogistic, not {fam}")
 
 
-def _gamma_variate(shape: float, stream: RandomStream) -> float:
-    """Standard gamma draw, Marsaglia-Tsang squeeze method."""
-    if shape < 1.0:
-        # Boost: G(a) = G(a+1) * U^(1/a)
-        u = max(stream.uniform(), _TINY)
-        return _gamma_variate(shape + 1.0, stream) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
+# cephes ndtri.c (Moshier): rational approximations of the inverse normal
+# CDF, with coefficients from highest power to constant.  A leading 1.0 in
+# a Q table is cephes' p1evl, whose first step 1.0 * x + q is exact.
+_EXP_M2 = 0.13533528323661269189     # exp(-2): the central branch lies above it
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# For sqrt(-2 log y) in [2, 8), i.e. exp(-32) < y <= exp(-2).
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# For sqrt(-2 log y) >= 8.
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """cephes' ``polevl``: the polynomial ``coef`` at ``x`` by Horner's rule, in its order."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """The C library's ``log`` (the one ``math.log`` and cephes call) of each
+    element of a 1-D array.
+
+    numpy's ``log`` runs its vectorized loop, which differs from the C
+    library's on a few inputs in 10^4, only when the output and the input
+    do not partly overlap; with the output one element behind the input it
+    runs its element-by-element loop over the C library's ``log``.  A
+    trailing 1.0 makes the two overlap even for one element.  That is ~15
+    times faster than ``math.log``, whose per-call cost would otherwise
+    dominate the tails.  The tests compare :func:`ndtri` with
+    ``scipy.special.ndtri`` and this function with ``math.log``, so a numpy
+    that vectorizes this case too fails them.
+    """
+    buf = np.ones(x.size + 2)
+    buf[1:-1] = x
+    return np.log(buf[1:], out=buf[:-1])[:-1]
+
+
+def ndtri(p) -> np.ndarray:
+    """Inverse of the standard normal CDF of each element of ``p``.
+
+    Equal bit for bit to ``scipy.special.ndtri`` (cephes): -inf at 0, inf
+    at 1, NaN outside [0, 1] and at NaN, with no warning.  numpy evaluates
+    cephes' rational approximations in cephes' operation order, and the
+    two logs of the tails, y <= exp(-2) from either end, are the C
+    library's (:func:`_logs`).
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    y = np.where(flat > 1.0 - _EXP_M2, 1.0 - flat, flat)
+    # The central branch of every value; the rest are overwritten below, so
+    # their overflow or inf - inf is ignored.
+    with np.errstate(all="ignore"):
+        t = y - 0.5
+        t2 = t * t
+        x = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _SQRT_2PI
+    rest = np.flatnonzero(~(y > _EXP_M2))
+    x.put(rest, _ndtri_tails(flat.take(rest)))
+    return x.reshape(p.shape)
+
+
+def _ndtri_tails(p: np.ndarray) -> np.ndarray:
+    """:func:`ndtri` of a 1-D array whose cephes y is not above exp(-2): the
+    tails, 0 and 1, and the values outside [0, 1] and NaN."""
+    flip = p > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - p, p)
+    inside = y > 0.0                # 0 < p < 1; 0.5 stands in for the rest
+    r = np.sqrt(-2.0 * _logs(np.where(inside, y, 0.5)))
+    w = 1.0 / r
+    r1 = w * _polevl(w, _P1) / _polevl(w, _Q1)
+    far = np.flatnonzero(r >= 8.0)  # y < exp(-32)
+    if far.size:
+        r1[far] = w[far] * _polevl(w[far], _P2) / _polevl(w[far], _Q2)
+    d = r - _logs(r) / r - r1
+    d = np.where(flip, d, -d)
+    return np.where(inside, d, np.where(y == 0.0, np.where(flip, np.inf, -np.inf), np.nan))
+
+
+def _ndtri1(p: float) -> float:
+    """:func:`ndtri` of one float in [0, 1]: the same operations on Python floats,
+    with the central and first tail polynomials unrolled."""
+    flip = p > 1.0 - _EXP_M2
+    y = 1.0 - p if flip else p
+    if y > _EXP_M2:
+        t = y - 0.5
+        t2 = t * t
+        P, Q = _P0, _Q0
+        n = (((P[0] * t2 + P[1]) * t2 + P[2]) * t2 + P[3]) * t2 + P[4]
+        q = (((((((t2 + Q[1]) * t2 + Q[2]) * t2 + Q[3]) * t2 + Q[4]) * t2 + Q[5]) * t2
+              + Q[6]) * t2 + Q[7]) * t2 + Q[8]
+        return (t + t * (t2 * n / q)) * _SQRT_2PI
+    if y == 0.0:
+        return math.inf if flip else -math.inf
+    r = math.sqrt(-2.0 * math.log(y))
+    w = 1.0 / r
+    if r < 8.0:
+        P, Q = _P1, _Q1
+        n = (((((((P[0] * w + P[1]) * w + P[2]) * w + P[3]) * w + P[4]) * w + P[5]) * w
+              + P[6]) * w + P[7]) * w + P[8]
+        q = (((((((w + Q[1]) * w + Q[2]) * w + Q[3]) * w + Q[4]) * w + Q[5]) * w + Q[6]) * w
+             + Q[7]) * w + Q[8]
+        r1 = w * n / q
+    else:
+        r1 = w * _polevl(w, _P2) / _polevl(w, _Q2)
+    d = r - math.log(r) / r - r1
+    return d if flip else -d
+
+
+def _gamma_variates(shape: float, stream: RandomStream, n: int) -> np.ndarray:
+    """``n`` standard gamma draws by the Marsaglia-Tsang squeeze method.
+
+    Each attempt takes a normal, :func:`ndtri` of one uniform, and, unless
+    ``v <= 0``, a second uniform for the squeeze and log tests.  For shape
+    < 1 each draw first takes the uniform U of the boost G(a) = G(a + 1) *
+    U^(1/a).  Peeks at a block of the stream and walks it with the scalar
+    code (:func:`_ndtri1` for the normals), doubling the block if it runs
+    out; the stream is then skipped past the uniforms used, so it ends
+    where drawing one uniform at a time would.
+    """
+    boost = shape < 1.0
+    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
+    size = (3 if boost else 2) * n + n // 4 + 8
     while True:
-        z = stream.standard_normal()
-        v = (1.0 + c * z) ** 3
-        if v <= 0.0:
+        u = stream.peek(size).tolist()
+        x = []
+        i = 0
+        try:
+            for _ in range(n):
+                if boost:
+                    b = max(u[i], _TINY)
+                    i += 1
+                while True:
+                    z = _ndtri1(u[i])
+                    v = (1.0 + c * z) ** 3
+                    i += 1
+                    if v <= 0.0:
+                        continue
+                    w = max(u[i], _TINY)
+                    i += 1
+                    if (w < 1.0 - 0.0331 * z ** 4
+                            or math.log(w) < 0.5 * z * z + d * (1.0 - v + math.log(v))):
+                        break
+                x.append(d * v * b ** (1.0 / shape) if boost else d * v)
+        except IndexError:          # the block ran out: walk one twice as long
+            size *= 2
             continue
-        u = max(stream.uniform(), _TINY)
-        if u < 1.0 - 0.0331 * z ** 4:
-            return d * v
-        if math.log(u) < 0.5 * z * z + d * (1.0 - v + math.log(v)):
-            return d * v
+        stream.skip(i)
+        return np.array(x)
 
 
 def _johnk_variate(a: float, b: float, stream: RandomStream) -> float:
@@ -363,7 +522,7 @@ def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
         return transform(spec, stream.uniforms(n))
     if fam == "gamma":
         loc, scale, shape = p
-        return loc + scale * np.array([_gamma_variate(shape, stream) for _ in range(n)])
+        return loc + scale * _gamma_variates(shape, stream, n)
     if fam == "beta":
         lo, hi, a, b = p
         x = (_cheng_variates(a, b, [stream], n)[0] if _is_cheng(spec)

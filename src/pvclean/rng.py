@@ -8,16 +8,14 @@ distinct (seed, tags, stream_id) tuples yield statistically independent
 sequences, and that equal tuples yield byte-identical sequences on every
 platform.
 
-:meth:`RandomStream.standard_normal` is the inverse-CDF transform
-(``ndtri``) of one uniform, so each normal consumes exactly one underlying
-uniform.  This keeps the number of uniforms consumed per distribution draw
-documented and reproducible.
+A stream yields uniforms only.  Normals are the inverse-CDF transform
+(:func:`pvclean.distributions.ndtri`) of one uniform each, so the number of
+uniforms consumed per distribution draw stays documented and reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["RandomStream", "replication_entropy", "training_entropy"]
 
@@ -86,10 +84,6 @@ class RandomStream:
         # lands where n draws would.
         self._gen.bit_generator.advance(int(n))
         self.counter += int(n)
-
-    def standard_normal(self) -> float:
-        """One standard normal via inverse-CDF; consumes one uniform."""
-        return float(ndtri(self.uniform()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, "

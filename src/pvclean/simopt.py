@@ -186,6 +186,9 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
                          f"not {replications}")
     if energy_loss is None:
         energy_loss = _energy_losses([z], config, days)[0]
+    elif np.shape(energy_loss) != (replications,):
+        raise ValueError(f"energy_loss has shape {np.shape(energy_loss)}, "
+                         f"not ({replications},)")
     cleanings = -(-days["d_cal"].shape[1] // z) - 1
     cleaning_cost = cleanings * config.cleaning_cost
     totals = energy_loss + cleaning_cost

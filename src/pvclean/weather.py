@@ -157,6 +157,9 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     the per-day path uses: the numpy inverse transforms, and the scalar
     ``math`` code of the rejection samplers.
     """
+    if not (isinstance(n_days, (int, np.integer)) and not isinstance(n_days, bool)
+            and n_days >= 0):
+        raise ValueError(f"n_days must be an integer >= 0, got {n_days!r}")
     if not streams:
         raise ValueError("need at least one replication")
     months = month_of_day(np.arange(n_days), start_month)

@@ -1,10 +1,16 @@
 """CLI subcommands: outputs, determinism, and error handling."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import pvclean
 from pvclean.cli import main
 from pvclean.environment import preset, save_config
 from pvclean.nn import DenseNet, save_net
@@ -265,3 +271,23 @@ def test_nan_training_reward_is_an_error(tmp_path, capsys, nan_rewards):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite reward" in err[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh interpreter running simopt
+    # and PPO training never imports it.
+    code = textwrap.dedent(f"""
+        import json, sys
+        from pvclean.cli import main
+        codes = [main(["simopt", "--case", "S1exp", "--horizon", "1", "--out", {str(tmp_path)!r}]),
+                 main(["train", "ppo", "--case", "S1exp", "--horizon", "1", "--episodes", "1",
+                       "--out", {str(tmp_path)!r}])]
+        print(json.dumps({{"codes": codes, "scipy": sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}

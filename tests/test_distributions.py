@@ -6,6 +6,7 @@ closed forms and KS distance against the CDF oracle.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pvclean import distributions
-from pvclean.distributions import (DistributionSpec, ParameterError, _cheng_accept,
+from pvclean.distributions import (_EXP_M2, DistributionSpec, ParameterError, _cheng_accept,
                                    _cheng_accepts, _cheng_constants, _cheng_variates,
-                                   sample_many, sample_streams)
+                                   _ndtri1, sample_many, sample_streams)
 from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
 
-from oracles import cheng_one_by_one, is_cheng
+from oracles import cheng_one_by_one, gamma_one_by_one, is_cheng
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -74,6 +75,83 @@ def test_invalid_clamp_rejected():
 
 def test_family_name_case_insensitive():
     assert DistributionSpec("Normal", (0.0, 1.0)).family == "normal"
+
+
+# -- ndtri: the in-tree kernel against scipy's ------------------------------
+
+
+def assert_ndtri_is_scipys(p):
+    """``distributions.ndtri(p)`` equals ``scipy.special.ndtri(p)`` bit for bit,
+    NaN where scipy gives NaN, and raises no warning; so does the scalar
+    path ``_ndtri1`` on every element in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distributions.ndtri(p)
+    expect = np.asarray(ndtri(p))
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan)
+    bad = np.flatnonzero(got[~nan].view(np.int64) != expect[~nan].view(np.int64))
+    assert bad.size == 0, (p[~nan][bad[:5]], got[~nan][bad[:5]], expect[~nan][bad[:5]])
+    unit = (p >= 0.0) & (p <= 1.0)
+    scalar = np.array([_ndtri1(v) for v in p[unit].tolist()], dtype=float)
+    assert scalar.tobytes() == expect[unit].tobytes()
+
+
+def test_logs_are_the_c_librarys():
+    # Where numpy's vectorized log differs from the C library's, _logs must
+    # not: for a whole array, and for each such value alone and in a pair.
+    y = RandomStream(7).uniforms(1_000_000) * _EXP_M2
+    expect = np.array([math.log(v) for v in y.tolist()])
+    assert distributions._logs(y).tobytes() == expect.tobytes()
+    differ = np.flatnonzero(np.log(y) != expect)
+    for i in differ[:100]:
+        assert distributions._logs(y[i:i + 1])[0] == expect[i]
+        assert distributions._logs(y[i - 1:i + 1]).tobytes() == expect[i - 1:i + 1].tobytes()
+    assert distributions._logs(np.empty(0)).shape == (0,)
+
+
+def test_ndtri_of_stream_uniforms():
+    assert_ndtri_is_scipys(RandomStream(2026).uniforms(1_000_000))
+
+
+_ULP = 2.0 ** -53  # the spacing of a stream's uniforms
+
+
+@pytest.mark.parametrize("at", [0.0, 1.0, _EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0)],
+                         ids=["0", "1", "exp(-2)", "1-exp(-2)", "exp(-32)"])
+def test_ndtri_next_to_a_branch_point(at):
+    # Every uniform a stream can return within 20,000 steps of the point,
+    # and the 20,000 floats either side of it.
+    lattice = (round(at / _ULP) + np.arange(-20_000, 20_001)) * _ULP
+    bits = np.float64(at).view(np.int64) + np.arange(-20_000, 20_001)
+    floats = bits[bits >= 0].view(np.float64)
+    p = np.concatenate([lattice, floats])
+    assert_ndtri_is_scipys(p[(p >= 0.0) & (p <= 1.0)])
+
+
+def test_ndtri_special_values():
+    tiny = np.finfo(float).tiny
+    assert_ndtri_is_scipys([0.0, -0.0, 1.0, 5e-324, 1e-310, tiny, np.nextafter(tiny, 0.0),
+                            _ULP, 0.5, 1.0 - _ULP, np.nan, -np.nan, -5e-324, -1.0,
+                            1.0 + 2.0 ** -52, 2.0, np.inf, -np.inf])
+    assert distributions.ndtri(0.0) == -np.inf and distributions.ndtri(1.0) == np.inf
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (3, 4), (2, 3, 5), ()])
+def test_ndtri_keeps_the_shape(shape):
+    u = RandomStream(3).uniforms(math.prod(shape)).reshape(shape)
+    u.flat[:2] = [0.0, 1.0][:u.size]
+    assert_ndtri_is_scipys(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.one_of(st.floats(0.0, 1.0),
+                            st.integers(0, 2 ** 53).map(lambda k: k * _ULP)),
+                  min_size=1, max_size=50))
+def test_ndtri_equals_scipy_on_any_probability(p):
+    assert_ndtri_is_scipys(p)
 
 
 # -- formula oracles (exact replay of the stream's uniforms) ----------------
@@ -173,6 +251,45 @@ def test_gamma_small_shape_boost_path():
     x = draws(spec, 50_000, seed=17)
     assert np.all(x >= 0.0)
     assert abs(x.mean() - 0.5) < 4 * x.std(ddof=1) / math.sqrt(len(x))
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.5, 0.99, 1.0, 1.06, 2.5, 30.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 500])
+def test_gamma_block_equals_per_attempt_oracle(shape, n):
+    """A gamma block from ``sample_many`` equals drawing one uniform at a time."""
+    spec = DistributionSpec("gamma", (1.0, 3.0, shape), clamp_lo=1.2, clamp_hi=9.0)
+    for seed in range(3):
+        block, one_by_one = RandomStream(seed), RandomStream(seed)
+        x = sample_many(spec, block, n)
+        assert x.tobytes() == gamma_one_by_one(spec, one_by_one, n).tobytes()
+        assert block.counter == one_by_one.counter
+        assert block.uniform() == one_by_one.uniform()
+        raw = sample_many(spec, RandomStream(seed), n, clamp=False)
+        assert raw.tobytes() == gamma_one_by_one(spec, RandomStream(seed), n,
+                                                 clamp=False).tobytes()
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.06])
+def test_gamma_block_extends_a_short_block(shape, monkeypatch):
+    # The first block is rarely too short, so cut it to a quarter.
+    peeks = []
+    peek = RandomStream.peek
+
+    def short_first_peek(self, n):
+        peeks.append(n)
+        u = peek(self, n)
+        return u[:n // 4] if len(peeks) == 1 else u
+
+    spec = DistributionSpec("gamma", (0.0, 1.0, shape))
+    monkeypatch.setattr(RandomStream, "peek", short_first_peek)
+    block = RandomStream(7)
+    x = sample_many(spec, block, 40)
+    monkeypatch.undo()
+    one_by_one = RandomStream(7)
+    assert x.tobytes() == gamma_one_by_one(spec, one_by_one, 40).tobytes()
+    assert block.counter == one_by_one.counter
+    assert block.uniform() == one_by_one.uniform()
+    assert len(peeks) == 2 and peeks[1] == 2 * peeks[0]
 
 
 def test_beta_johnk_path_small_shapes():

@@ -1,6 +1,7 @@
 """Sim-Opt: interval evaluation vs an independent slow oracle and the
 all-replications-at-once closed form."""
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -189,6 +190,14 @@ def test_evaluate_interval_rejects_days_of_other_replications(replications):
     days = day_arrays(CFG, precompute_weather(CFG, 3))
     with pytest.raises(ValueError, match=f"days holds 3 replications, not {replications}"):
         evaluate_interval(5, CFG, replications, days=days)
+
+
+@pytest.mark.parametrize("energy_loss", [np.zeros(5), np.zeros(2), np.zeros((3, 1)), np.float64(0.0)])
+def test_evaluate_interval_rejects_energy_loss_of_other_replications(energy_loss):
+    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    message = f"energy_loss has shape {np.shape(energy_loss)}, not (3,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_interval(5, CFG, 3, days=days, energy_loss=energy_loss)
 
 
 def test_common_random_numbers_across_intervals():

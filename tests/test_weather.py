@@ -1,13 +1,14 @@
 """Weather model: calendar, grid validation, persistence, sampling.
 
 ``sample_day`` below is the per-day reference: it draws each variable one
-value at a time, a Cheng-BB beta one attempt at a time
+value at a time, a gamma and a Cheng-BB beta one attempt at a time
 (``oracles.sample_one``).  ``generate_weather`` and ``stack_weather`` draw
 all replications month by month, and each row must equal it bit for bit,
 run on that replication alone, in values and in where it leaves every
 stream.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,20 @@ def test_generate_weather_no_days():
     arrays = generate_weather(default_model(), 0, streams)
     assert all(arrays[var].shape == (2, 0) for var in VARIABLES)
     assert all(s.counter == 0 for row in streams for s in row.values())
+
+
+@pytest.mark.parametrize("n_days", [-1, -4, True, False, 2.0, 2.5, "3", None])
+def test_generate_weather_rejects_a_bad_n_days(n_days):
+    with pytest.raises(ValueError, match=re.escape(f"n_days must be an integer >= 0, got {n_days!r}")):
+        generate_weather(default_model(), n_days, [make_streams(0)])
+    with pytest.raises(ValueError, match=re.escape(f"n_days must be an integer >= 0, got {n_days!r}")):
+        stack_weather(default_model(), n_days, [0])
+
+
+def test_generate_weather_accepts_a_numpy_integer_n_days():
+    arrays = stack_weather(default_model(), np.int64(40), [0])
+    expect = stack_weather(default_model(), 40, [0])
+    assert all(arrays[var].tobytes() == expect[var].tobytes() for var in VARIABLES)
 
 
 def test_generate_weather_needs_a_replication():
