@@ -11,6 +11,7 @@ The default output directory comes from ``--out`` or the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -82,6 +83,18 @@ def _write_csv(path: Path, header_lines, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _check_finite(rows) -> None:
+    """Raise ``NumericalError`` unless every float in ``rows`` is finite.
+
+    Inputs whose magnitudes overflow (a tariff and a panel area near the
+    largest float, say) give an infinite or NaN cost; no CSV is written then.
+    """
+    for row in rows:
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise agents.NumericalError(f"non-finite result {v!r} in {tuple(row)!r}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -99,9 +112,10 @@ def cmd_simopt(args) -> int:
     label = _case_label(cfg)
     header = _config_header(cfg, {"replications": args.reps, "z_max": args.zmax})
     stderr = {e.z: float(np.std(e.costs) / np.sqrt(len(e.costs))) for e in curve}
+    rows = [(e.z, e.mean_total_cost, stderr[e.z], e.mean_cleanings) for e in curve]
+    _check_finite(rows)
     _write_csv(out / f"{label}_simopt_curve.csv", header,
-               ["z", "mean_total_cost", "stderr", "mean_cleanings"],
-               [(e.z, e.mean_total_cost, stderr[e.z], e.mean_cleanings) for e in curve])
+               ["z", "mean_total_cost", "stderr", "mean_cleanings"], rows)
     best = next(e for e in curve if e.z == z_star)
     _write_csv(out / f"{label}_simopt_summary.csv", header,
                ["case", "z_star", "mean_cleanings", "mean_total_cost"],
@@ -144,9 +158,10 @@ def cmd_eval(args) -> int:
     result = agents.evaluate(policy, cfg, episodes=args.episodes)
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy, "episodes": args.episodes})
+    rows = [(label, result.mean_cleanings, result.mean_total_cost)]
+    _check_finite(rows)
     _write_csv(out / f"{label}_eval_summary.csv", header,
-               ["case", "mean_cleanings", "mean_total_cost"],
-               [(label, result.mean_cleanings, result.mean_total_cost)])
+               ["case", "mean_cleanings", "mean_total_cost"], rows)
     print(f"{label}: eval mean_total_cost={result.mean_total_cost:.6g} "
           f"mean_cleanings={result.mean_cleanings:.6g}")
     return 0
@@ -171,6 +186,7 @@ def cmd_trace(args) -> int:
     obs_names = [f"obs_{name}" for name in list(FEATURE_SCALES)[:cfg.obs_dim]]
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy})
+    _check_finite(rows)
     _write_csv(out / f"{label}_trace.csv", header,
                ["day", "action", *obs_names, *_TRACE_INFO], rows)
     print(f"{label}: trace with {len(rows)} days -> {label}_trace.csv")
@@ -274,8 +290,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, agents.NumericalError) as exc:
+        # A result made non-finite by overflow is reported as one error line
+        # (_check_finite), not also as numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ConfigError, OSError, ValueError, agents.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

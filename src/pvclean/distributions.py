@@ -20,18 +20,19 @@ per draw (:func:`transform` maps uniforms to draws).  Gamma and beta are
 rejection samplers and consume a variable (but deterministic, given the
 stream state) number of uniforms; every weather variable owns its own
 stream, so this never perturbs the other variables' draws.
-:func:`sample_many` draws from one stream and :func:`sample_streams` from
-several, one row each.  Gamma and Cheng-BB beta peek at a block of each
-stream and leave it where drawing one uniform at a time would; for a
-Cheng-BB beta numpy decides which attempts are accepted, for all streams
-in one pass.
+:func:`sample_many` draws from one stream, or from a list of streams with
+one row each.  A rejection sampler peeks at a block of every stream,
+decides every attempt of all blocks in one numpy pass, computes the
+accepted draws, and leaves each stream where drawing one uniform at a
+time would.
 
-Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
-``math``'s (the C library's) by an ulp, so a value that the C library
-computes stays scalar ``math`` code.  That covers the rejection tests and
-values, and the two logs of ``ndtri``'s tails, where cephes calls the C
-``log``: :func:`ndtri` takes them from numpy's element-by-element loop
-over the C library's ``log`` (:func:`_logs`), never its vectorized one.
+Exactness rule: numpy's vectorized ``exp``, ``log`` and ``**`` may differ
+from ``math``'s (the C library's) by an ulp.  Wherever the per-attempt
+algorithm calls the C library (the rejection tests and draws of gamma,
+Cheng BB and Johnk, and the two logs of ``ndtri``'s tails, where cephes
+calls the C ``log``), numpy computes the value through :func:`_c`, which
+runs numpy's element-by-element loop over the C library's function and
+so equals ``math`` bit for bit.  The inverse transforms stay numpy's.
 
 Samples are clamped to the physical bounds carried by the spec.  Clamping
 (rather than resampling) keeps stream alignment deterministic.
@@ -39,6 +40,7 @@ Samples are clamped to the physical bounds carried by the spec.  Clamping
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ import numpy as np
 from .rng import RandomStream
 
 __all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
-           "ndtri", "transform", "sample_many", "sample_streams"]
+           "NORMAL_FAMILIES", "ndtri", "transform", "from_normals", "sample_many"]
 
 FAMILY_ARITY = {
     "normal": 2,
@@ -63,6 +65,8 @@ FAMILY_ARITY = {
 # Families drawn by an inverse transform of exactly one uniform per value.
 INVERSE_FAMILIES = frozenset(
     {"normal", "lognormal", "triangular", "weibull", "johnsonsb", "loglogistic"})
+# The inverse-transform families whose draw is a function of ndtri(u).
+NORMAL_FAMILIES = frozenset({"normal", "lognormal", "johnsonsb"})
 
 _LOG4 = math.log(4.0)
 _LOG5 = math.log(5.0)
@@ -235,23 +239,75 @@ def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     return ans
 
 
-def _logs(x: np.ndarray) -> np.ndarray:
-    """The C library's ``log`` (the one ``math.log`` and cephes call) of each
-    element of a 1-D array.
+def _overlapped(ufunc, x: np.ndarray, *args) -> np.ndarray:
+    """``ufunc(x, *args)`` of a 1-D array, written one element behind its input.
 
-    numpy's ``log`` runs its vectorized loop, which differs from the C
-    library's on a few inputs in 10^4, only when the output and the input
-    do not partly overlap; with the output one element behind the input it
-    runs its element-by-element loop over the C library's ``log``.  A
-    trailing 1.0 makes the two overlap even for one element.  That is ~15
-    times faster than ``math.log``, whose per-call cost would otherwise
-    dominate the tails.  The tests compare :func:`ndtri` with
-    ``scipy.special.ndtri`` and this function with ``math.log``, so a numpy
-    that vectorizes this case too fails them.
+    A trailing 1.0 makes output and input overlap even for one element.
+    Each scalar argument is passed as an array: numpy's ``power`` computes
+    a scalar exponent of 2, 0.5 or -1 as ``x * x``, ``sqrt(x)`` or
+    ``1 / x``, which differ from the C library's ``pow``.
     """
-    buf = np.ones(x.size + 2)
+    buf = np.empty(x.size + 2)
     buf[1:-1] = x
-    return np.log(buf[1:], out=buf[:-1])[:-1]
+    buf[-1] = 1.0
+    return ufunc(buf[1:], *[np.full(x.size + 1, a) for a in args], out=buf[:-1])[:-1]
+
+
+# The C library function each ufunc that _c takes stands for.
+_LIBM = {np.exp: math.exp, np.log: math.log, np.power: math.pow}
+
+
+def _libm(ufunc, x: np.ndarray, args: tuple) -> np.ndarray:
+    """:func:`_c` of a 1-D array through ``math``, one element at a time."""
+    f = _LIBM[ufunc]
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(f(v, *args))
+        except (ValueError, OverflowError):  # where the C library returns inf or nan
+            out.append(float(ufunc(v, *args)))
+    return np.array(out, dtype=float)
+
+
+@functools.cache
+def _overlap_is_libm() -> bool:
+    """Whether :func:`_overlapped` equals ``math`` on a fixed probe set.
+
+    The probes include inputs where numpy's vectorized ``exp``, ``log``
+    and ``power`` differ from the C library's.
+    """
+    x = np.arange(1, 1025) * 0.6180339887498949 % 1.0
+    probes = [(np.exp, x * 60.0 - 30.0, ()), (np.log, x * 1e3, ()),
+              (np.power, x * 8.0 - 4.0, (2.0,)), (np.power, x * 8.0 - 4.0, (3.0,)),
+              (np.power, x, (1.0 / 1.06,))]
+    return all(_overlapped(f, v, *a).tobytes() == _libm(f, v, a).tobytes()
+               for f, v, a in probes)
+
+
+def _c(ufunc, x, *args) -> np.ndarray:
+    """``ufunc(x, *args)`` elementwise, equal bit for bit to the C library
+    function that ``math`` calls: ``np.exp`` to ``math.exp``, ``np.log`` to
+    ``math.log`` and ``np.power`` (with a scalar exponent) to Python's ``**``.
+
+    numpy's vectorized loops for these differ from the C library's on up to
+    a few inputs in 100.  When the output sits one element behind the input
+    (:func:`_overlapped`), numpy runs its element-by-element loop over the C
+    library's function instead: ~10 ns a value for ``exp`` and ``log`` and
+    ~30 ns for ``power``, against ~100 ns for ``math``.  That is numpy
+    behaviour, not documented API, so the first call checks it on a fixed
+    probe set (:func:`_overlap_is_libm`); where it does not hold, every
+    call takes the slower per-element ``math`` path, with the same bits.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    y = _overlapped(ufunc, flat, *args) if _overlap_is_libm() else _libm(ufunc, flat, args)
+    return y.reshape(x.shape)
+
+
+# ndtri works through blocks of at most this many values, so that its
+# temporaries stay small: in cache, and reused by the allocator rather than
+# mapped afresh (and page-faulted in) on every call.
+_BLOCK = 1 << 15
 
 
 def ndtri(p) -> np.ndarray:
@@ -261,11 +317,19 @@ def ndtri(p) -> np.ndarray:
     at 1, NaN outside [0, 1] and at NaN, with no warning.  numpy evaluates
     cephes' rational approximations in cephes' operation order, and the
     two logs of the tails, y <= exp(-2) from either end, are the C
-    library's (:func:`_logs`).
+    library's (:func:`_c`).
     """
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
-    y = np.where(flat > 1.0 - _EXP_M2, 1.0 - flat, flat)
+    x = np.empty(flat.shape)
+    for i in range(0, flat.size, _BLOCK):
+        x[i:i + _BLOCK] = _ndtri_block(flat[i:i + _BLOCK])
+    return x.reshape(p.shape)
+
+
+def _ndtri_block(p: np.ndarray) -> np.ndarray:
+    """:func:`ndtri` of a 1-D array."""
+    y = np.where(p > 1.0 - _EXP_M2, 1.0 - p, p)
     # The central branch of every value; the rest are overwritten below, so
     # their overflow or inf - inf is ignored.
     with np.errstate(all="ignore"):
@@ -273,8 +337,8 @@ def ndtri(p) -> np.ndarray:
         t2 = t * t
         x = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _SQRT_2PI
     rest = np.flatnonzero(~(y > _EXP_M2))
-    x.put(rest, _ndtri_tails(flat.take(rest)))
-    return x.reshape(p.shape)
+    x.put(rest, _ndtri_tails(p.take(rest)))
+    return x
 
 
 def _ndtri_tails(p: np.ndarray) -> np.ndarray:
@@ -283,105 +347,142 @@ def _ndtri_tails(p: np.ndarray) -> np.ndarray:
     flip = p > 1.0 - _EXP_M2
     y = np.where(flip, 1.0 - p, p)
     inside = y > 0.0                # 0 < p < 1; 0.5 stands in for the rest
-    r = np.sqrt(-2.0 * _logs(np.where(inside, y, 0.5)))
+    r = np.sqrt(-2.0 * _c(np.log, np.where(inside, y, 0.5)))
     w = 1.0 / r
     r1 = w * _polevl(w, _P1) / _polevl(w, _Q1)
     far = np.flatnonzero(r >= 8.0)  # y < exp(-32)
     if far.size:
         r1[far] = w[far] * _polevl(w[far], _P2) / _polevl(w[far], _Q2)
-    d = r - _logs(r) / r - r1
+    d = r - _c(np.log, r) / r - r1
     d = np.where(flip, d, -d)
     return np.where(inside, d, np.where(y == 0.0, np.where(flip, np.inf, -np.inf), np.nan))
 
 
-def _ndtri1(p: float) -> float:
-    """:func:`ndtri` of one float in [0, 1]: the same operations on Python floats,
-    with the central and first tail polynomials unrolled."""
-    flip = p > 1.0 - _EXP_M2
-    y = 1.0 - p if flip else p
-    if y > _EXP_M2:
-        t = y - 0.5
-        t2 = t * t
-        P, Q = _P0, _Q0
-        n = (((P[0] * t2 + P[1]) * t2 + P[2]) * t2 + P[3]) * t2 + P[4]
-        q = (((((((t2 + Q[1]) * t2 + Q[2]) * t2 + Q[3]) * t2 + Q[4]) * t2 + Q[5]) * t2
-              + Q[6]) * t2 + Q[7]) * t2 + Q[8]
-        return (t + t * (t2 * n / q)) * _SQRT_2PI
-    if y == 0.0:
-        return math.inf if flip else -math.inf
-    r = math.sqrt(-2.0 * math.log(y))
-    w = 1.0 / r
-    if r < 8.0:
-        P, Q = _P1, _Q1
-        n = (((((((P[0] * w + P[1]) * w + P[2]) * w + P[3]) * w + P[4]) * w + P[5]) * w
-              + P[6]) * w + P[7]) * w + P[8]
-        q = (((((((w + Q[1]) * w + Q[2]) * w + Q[3]) * w + Q[4]) * w + Q[5]) * w + Q[6]) * w
-             + Q[7]) * w + Q[8]
-        r1 = w * n / q
-    else:
-        r1 = w * _polevl(w, _P2) / _polevl(w, _Q2)
-    d = r - math.log(r) / r - r1
-    return d if flip else -d
+def _gamma_variates(shape: float, streams: list, n: int) -> np.ndarray:
+    """``n`` standard gamma draws from each stream by the Marsaglia-Tsang
+    squeeze method, shaped (len(streams), n).
 
-
-def _gamma_variates(shape: float, stream: RandomStream, n: int) -> np.ndarray:
-    """``n`` standard gamma draws by the Marsaglia-Tsang squeeze method.
-
-    Each attempt takes a normal, :func:`ndtri` of one uniform, and, unless
-    ``v <= 0``, a second uniform for the squeeze and log tests.  For shape
-    < 1 each draw first takes the uniform U of the boost G(a) = G(a + 1) *
-    U^(1/a).  Peeks at a block of the stream and walks it with the scalar
-    code (:func:`_ndtri1` for the normals), doubling the block if it runs
-    out; the stream is then skipped past the uniforms used, so it ends
-    where drawing one uniform at a time would.
+    Each attempt takes a normal z, :func:`ndtri` of one uniform, and, unless
+    v = (1 + c z)^3 <= 0, a second uniform w for the squeeze and log tests.
+    For shape < 1 each draw first takes the uniform b of the boost G(a) =
+    G(a + 1) * b^(1/a).  Peeks at a block of every stream and decides, at
+    every position of all blocks in one numpy pass, what an attempt
+    starting there does; :func:`_gamma_walk` then finds each stream's
+    attempt boundaries.  A stream whose block runs out is peeked again with
+    a block twice as long.  Each stream is then skipped past the uniforms
+    used, so it ends where drawing one uniform at a time would.
     """
     boost = shape < 1.0
     d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    size = (3 if boost else 2) * n + n // 4 + 8
-    while True:
-        u = stream.peek(size).tolist()
-        x = []
-        i = 0
-        try:
-            for _ in range(n):
-                if boost:
-                    b = max(u[i], _TINY)
-                    i += 1
-                while True:
-                    z = _ndtri1(u[i])
-                    v = (1.0 + c * z) ** 3
-                    i += 1
-                    if v <= 0.0:
-                        continue
-                    w = max(u[i], _TINY)
-                    i += 1
-                    if (w < 1.0 - 0.0331 * z ** 4
-                            or math.log(w) < 0.5 * z * z + d * (1.0 - v + math.log(v))):
-                        break
-                x.append(d * v * b ** (1.0 / shape) if boost else d * v)
-        except IndexError:          # the block ran out: walk one twice as long
-            size *= 2
-            continue
-        stream.skip(i)
-        return np.array(x)
+    x = np.empty((len(streams), n))
+    todo, size = list(range(len(streams))), (3 if boost else 2) * n + n // 4 + 8
+    while todo:
+        u = np.array([streams[r].peek(size) for r in todo])
+        z = ndtri(u)
+        v = _c(np.power, 1.0 + c * z, 3.0)
+        # An attempt at position i takes its w from position i + 1.
+        z, vz, w = z[:, :-1], v[:, :-1], np.maximum(u[:, 1:], _TINY)
+        live = vz > 0.0
+        accept = live & (w < 1.0 - 0.0331 * _c(np.power, z, 4.0))
+        log = live & ~accept
+        zl, vl = z[log], vz[log]
+        accept[log] = _c(np.log, w[log]) < 0.5 * zl * zl + d * (1.0 - vl + _c(np.log, vl))
+        code = live.astype(np.int8)
+        code += accept
+        short, done, hits, boosts = [], [], [], []
+        for k, row in enumerate(code.tolist()):
+            try:
+                used, hit, b = _gamma_walk(row, n, boost)
+            except IndexError:
+                short.append(todo[k])
+                continue
+            streams[todo[k]].skip(used)
+            done.append(k)
+            hits.append(hit)
+            boosts.append(b)
+        k = np.array(done, dtype=np.intp)[:, None]
+        draws = d * v[k, np.array(hits, dtype=np.intp).reshape(len(done), n)]
+        if boost:
+            b = u[k, np.array(boosts, dtype=np.intp).reshape(len(done), n)]
+            draws *= _c(np.power, np.maximum(b, _TINY), 1.0 / shape)
+        x[[todo[i] for i in done]] = draws
+        todo, size = short, 2 * size
+    return x
 
 
-def _johnk_variate(a: float, b: float, stream: RandomStream) -> float:
-    """Standard beta draw by Johnk's method, for min(a, b) <= 1."""
-    while True:
-        u = max(stream.uniform(), _TINY)
-        v = max(stream.uniform(), _TINY)
-        x = u ** (1.0 / a)
-        y = v ** (1.0 / b)
-        if x + y <= 1.0:
-            if x + y > 0.0:
-                return x / (x + y)
-            # Underflow: fall back to log-scale comparison.
-            lx = math.log(u) / a
-            ly = math.log(v) / b
-            m = max(lx, ly)
-            return math.exp(lx - m) / (math.exp(lx - m) + math.exp(ly - m))
+def _gamma_walk(code: list, n: int, boost: bool) -> tuple:
+    """Walk ``n`` gamma draws through one block.
+
+    ``code[i]`` says what the attempt starting at position i does: 0 if
+    v <= 0 (it takes one uniform), 1 if it is rejected and 2 if accepted
+    (two uniforms each).  Returns the uniforms used, the position of each
+    draw's accepted normal, and the position of each draw's boost uniform
+    (none unless ``boost``).  Raises ``IndexError`` when the block runs out.
+    """
+    i = 0
+    hits, boosts = [], []
+    for _ in range(n):
+        if boost:
+            boosts.append(i)
+            i += 1
+        while code[i] != 2:
+            i += code[i] + 1
+        hits.append(i)
+        i += 2
+    return i, hits, boosts
+
+
+def _first_accepted(streams: list, n: int, attempts: int, attempt) -> np.ndarray:
+    """``n`` draws from each stream of a sampler whose attempts each take two
+    uniforms (u1, u2), shaped (len(streams), n).
+
+    Peeks at a block of ``attempts`` attempts of every stream, and
+    ``attempt(u1, u2)`` returns, in one call for all blocks, whether each
+    attempt is accepted and the draw it gives if it is.  The block of each
+    stream that holds fewer than ``n`` acceptances is peeked again, twice
+    as long.  Each stream is then skipped past the uniforms its first ``n``
+    accepted attempts used, so it ends where drawing one attempt at a time
+    would.
+    """
+    x = np.empty((len(streams), n))
+    todo = np.arange(len(streams) if n else 0)
+    while todo.size:
+        u = np.array([streams[r].peek(2 * attempts) for r in todo])
+        accept, draws = attempt(u[:, 0::2], u[:, 1::2])
+        count = np.cumsum(accept, axis=1)
+        done = count[:, -1] >= n
+        last = np.argmax(count[done] >= n, axis=1)  # each stream's n-th acceptance
+        for r, k in zip(todo[done].tolist(), last.tolist()):
+            streams[r].skip(2 * (k + 1))
+        x[todo[done]] = draws[done][accept[done] & (count[done] <= n)].reshape(-1, n)
+        todo = todo[~done]
+        attempts *= 2
+    return x
+
+
+def _johnk_variates(a: float, b: float, streams: list, n: int) -> np.ndarray:
+    """``n`` standard beta draws from each stream by Johnk's method, for min(a, b) <= 1.
+
+    An attempt (u, v) gives x = u^(1/a) and y = v^(1/b), and is accepted
+    when x + y <= 1.  The draw is x / (x + y), or, where x + y underflows
+    to 0, the same ratio from logs.
+    """
+    def attempt(u1, u2):
+        u, v = np.maximum(u1, _TINY), np.maximum(u2, _TINY)
+        x, y = _c(np.power, u, 1.0 / a), _c(np.power, v, 1.0 / b)
+        s = x + y
+        with np.errstate(invalid="ignore"):
+            draws = x / s
+        under = s == 0.0
+        if under.any():
+            lx, ly = _c(np.log, u[under]) / a, _c(np.log, v[under]) / b
+            m = np.maximum(lx, ly)
+            e = _c(np.exp, lx - m)
+            draws[under] = e / (e + _c(np.exp, ly - m))
+        return s <= 1.0, draws
+
+    return _first_accepted(streams, n, 2 * n + 2, attempt)
 
 
 def _cheng_constants(a: float, b: float) -> tuple:
@@ -392,107 +493,53 @@ def _cheng_constants(a: float, b: float) -> tuple:
     return a0, b0, alpha, beta, a0 + 1.0 / beta
 
 
-def _cheng_accept(u1: float, u2: float, c: tuple) -> bool:
-    """Whether Cheng BB accepts the attempt (u1, u2); each attempt takes 2 uniforms."""
-    a0, b0, alpha, beta, gamma = c
-    if u1 <= 0.0 or u1 >= 1.0:
-        return False
-    v = beta * math.log(u1 / (1.0 - u1))
-    w = a0 * math.exp(v)
-    z = u1 * u1 * u2
-    r = gamma * v - _LOG4
-    s = a0 + r - w
-    if s + 1.0 + _LOG5 >= 5.0 * z:
-        return True
-    t = math.log(z) if z > 0.0 else -math.inf
-    return s >= t or r + alpha * math.log(alpha / (b0 + w)) >= t
+def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> tuple:
+    """Whether Cheng BB accepts each attempt (u1[i], u2[i]) of two
+    same-shaped arrays, and the w = a0 (u1 / (1 - u1))^beta of each.
 
-
-def _cheng_value(u1: float, a: float, c: tuple) -> float:
-    """The beta variate an accepted Cheng BB attempt with first uniform u1 returns."""
-    a0, b0, _, beta, _ = c
-    w = a0 * math.exp(beta * math.log(u1 / (1.0 - u1)))
-    return w / (b0 + w) if a == a0 else b0 / (b0 + w)
-
-
-# numpy's exp and log may differ from math's by an ulp, which moves each
-# term of a Cheng test by far less than this fraction of the terms' size.
-_CHENG_MARGIN = 1e-9
-
-
-def _cheng_accepts(u1: np.ndarray, u2: np.ndarray, c: tuple) -> np.ndarray:
-    """:func:`_cheng_accept` of every attempt (u1[i], u2[i]) of two same-shaped arrays.
-
-    numpy decides an attempt only when each of the three test margins is
-    farther from 0 than ``_CHENG_MARGIN`` of the summed size of all terms;
-    the rest, those with a non-finite margin or size among them, are
-    decided by :func:`_cheng_accept`.
+    The per-attempt expressions of Cheng (1978), with the C library's
+    ``exp`` and ``log`` (:func:`_c`); the two log tests are evaluated only
+    where the squeeze test rejects.  An attempt with u1 outside (0, 1) is
+    rejected.
     """
     a0, b0, alpha, beta, gamma = c
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = beta * np.log(u1 / (1.0 - u1))
-        w = a0 * np.exp(v)
+    inside = (u1 > 0.0) & (u1 < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = beta * _c(np.log, u1 / (1.0 - u1))
+        w = a0 * _c(np.exp, v)
         z = u1 * u1 * u2
         r = gamma * v - _LOG4
         s = a0 + r - w
-        t = np.log(z)
-        q = alpha * np.log(alpha / (b0 + w))
-        m1, m2, m3 = s + 1.0 + _LOG5 - 5.0 * z, s - t, r + q - t
-        size = ((a0 + alpha + 1.0 + _LOG4 + _LOG5) + np.abs(r) + w + np.abs(t)
-                + np.abs(q) + 5.0 * z)
-        # False for a NaN or infinite margin or size.
-        sure = np.minimum(np.minimum(np.abs(m1), np.abs(m2)), np.abs(m3)) > _CHENG_MARGIN * size
-    accept = (m1 >= 0.0) | (m2 >= 0.0) | (m3 >= 0.0)
-    unsure = ~sure
-    accept[unsure] = [_cheng_accept(x, y, c)
-                      for x, y in zip(u1[unsure].tolist(), u2[unsure].tolist())]
-    return accept
+        accept = s + 1.0 + _LOG5 >= 5.0 * z
+        rest = inside & ~accept
+        t = _c(np.log, z[rest])
+        accept[rest] = (s[rest] >= t) | (r[rest] + alpha * _c(np.log, alpha / (b0 + w[rest])) >= t)
+    return accept & inside, w
 
 
 def _cheng_variates(a: float, b: float, streams: list, n: int) -> np.ndarray:
     """``n`` standard Cheng-BB beta draws from each stream, shaped (len(streams), n).
 
     For shapes min(a, b) > 1.  Each attempt takes 2 uniforms (u1, u2) and
-    is accepted by :func:`_cheng_accept`.  Peeks at a block of attempts of
-    every stream (about 2.7 n + 4 uniforms each), lets numpy classify all
-    blocks in one pass, and doubles the block of each stream whose block
-    holds fewer than ``n`` acceptances.  Each stream is then skipped past
-    the uniforms its first ``n`` accepted attempts used, so it ends where
-    drawing one attempt at a time would leave it.  The variates come from
-    the scalar expression :func:`_cheng_value`.
+    is classified by :func:`_cheng_accepts`; the first block holds n + n // 3
+    + 2 attempts a stream (:func:`_first_accepted`).  An accepted attempt's
+    draw is w / (b0 + w), or b0 / (b0 + w) when a is the larger shape.
     """
-    if n == 0:
-        return np.empty((len(streams), 0))
     c = _cheng_constants(a, b)
-    u1 = [None] * len(streams)  # per stream, the first uniforms of its accepted attempts
-    todo = list(range(len(streams)))
-    attempts = n + n // 3 + 2
-    while todo:
-        u = np.array([streams[r].peek(2 * attempts) for r in todo])
-        first = u[:, 0::2]
-        accept = _cheng_accepts(first, np.maximum(u[:, 1::2], _TINY), c)
-        short = []
-        for r, row, accepted in zip(todo, first, accept):
-            hits = np.flatnonzero(accepted)[:n]
-            if len(hits) < n:
-                short.append(r)
-                continue
-            streams[r].skip(2 * int(hits[-1] + 1))
-            u1[r] = row[hits].tolist()
-        todo = short
-        attempts *= 2
-    return np.array([[_cheng_value(v, a, c) for v in row] for row in u1])
+    b0 = c[1]
+
+    def attempt(u1, u2):
+        accept, w = _cheng_accepts(u1, np.maximum(u2, _TINY), c)
+        return accept, w / (b0 + w) if a == c[0] else b0 / (b0 + w)
+
+    return _first_accepted(streams, n, n + n // 3 + 2, attempt)
 
 
 def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """Unclamped draws of an inverse-transform family, one per uniform in ``u``."""
     fam, p = spec.family, spec.params
-    if fam == "normal":
-        mu, sigma = p
-        return mu + sigma * ndtri(u)
-    if fam == "lognormal":
-        loc, mu, sigma = p
-        return loc + np.exp(mu + sigma * ndtri(u))
+    if fam in NORMAL_FAMILIES:
+        return from_normals(spec, ndtri(u))
     if fam == "triangular":
         lo, hi, mode = p
         c = (mode - lo) / (hi - lo)
@@ -502,53 +549,46 @@ def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     if fam == "weibull":
         loc, shape, scale = p
         return loc + scale * (-np.log(np.maximum(u, _TINY))) ** (1.0 / shape)
-    if fam == "johnsonsb":
-        loc, rng, d, xi = p
-        return loc + rng / (1.0 + np.exp(-(ndtri(u) - d) / xi))
     if fam == "loglogistic":
         loc, shape, scale = p
         return loc + scale * (u / (1.0 - u)) ** (1.0 / shape)
     raise ParameterError(f"{fam} is not an inverse-transform family")
 
 
-def _is_cheng(spec: DistributionSpec) -> bool:
-    """Whether ``spec`` is a beta drawn by Cheng BB (both shapes > 1)."""
-    return spec.family == "beta" and min(spec.params[2:]) > 1.0
-
-
-def _raw_samples(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
+def from_normals(spec: DistributionSpec, z: np.ndarray) -> np.ndarray:
+    """:func:`transform` of a family in ``NORMAL_FAMILIES``, given ``z = ndtri(u)``."""
     fam, p = spec.family, spec.params
-    if fam in INVERSE_FAMILIES:
-        return transform(spec, stream.uniforms(n))
-    if fam == "gamma":
-        loc, scale, shape = p
-        return loc + scale * _gamma_variates(shape, stream, n)
-    if fam == "beta":
+    if fam == "normal":
+        mu, sigma = p
+        return mu + sigma * z
+    if fam == "lognormal":
+        loc, mu, sigma = p
+        return loc + np.exp(mu + sigma * z)
+    if fam == "johnsonsb":
+        loc, rng, d, xi = p
+        return loc + rng / (1.0 + np.exp(-(z - d) / xi))
+    raise ParameterError(f"{fam} is not a function of one normal")
+
+
+def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> np.ndarray:
+    """Draw ``n`` samples of ``spec`` in sequence, clamped unless ``clamp`` is false.
+
+    ``streams`` is one :class:`~pvclean.rng.RandomStream`, giving shape
+    (n,), or a list of them, giving (len(streams), n).  Row r then equals
+    the draws from ``streams[r]`` alone, and leaves that stream where they
+    would.  A gamma or beta draws every stream in one numpy pass.
+    """
+    one = isinstance(streams, RandomStream)
+    rows, n = [streams] if one else list(streams), int(n)
+    p = spec.params
+    if spec.family in INVERSE_FAMILIES:
+        x = transform(spec, np.array([s.uniforms(n) for s in rows]).reshape(len(rows), n))
+    elif spec.family == "gamma":
+        x = p[0] + p[1] * _gamma_variates(p[2], rows, n)
+    else:
         lo, hi, a, b = p
-        x = (_cheng_variates(a, b, [stream], n)[0] if _is_cheng(spec)
-             else np.array([_johnk_variate(a, b, stream) for _ in range(n)]))
-        return lo + (hi - lo) * x
-    raise ParameterError(f"unknown family {fam!r}")  # pragma: no cover
-
-
-def sample_many(spec: DistributionSpec, stream: RandomStream, n: int,
-                clamp: bool = True) -> np.ndarray:
-    """Draw ``n`` samples of ``spec`` in sequence, clamped unless ``clamp`` is false."""
-    x = _raw_samples(spec, stream, int(n))
+        draw = _cheng_variates if min(a, b) > 1.0 else _johnk_variates
+        x = lo + (hi - lo) * draw(a, b, rows, n)
     if clamp:
         x = np.clip(x, spec.clamp_lo, spec.clamp_hi)
-    return x
-
-
-def sample_streams(spec: DistributionSpec, streams: list, n: int) -> np.ndarray:
-    """``sample_many(spec, streams[r], n)`` as row r of one (len(streams), n) array.
-
-    A Cheng-BB beta classifies the attempts of all streams in one numpy
-    pass; every other family is drawn one stream at a time.
-    """
-    n = int(n)
-    if not _is_cheng(spec):
-        return np.array([sample_many(spec, s, n) for s in streams]).reshape(len(streams), n)
-    lo, hi, a, b = spec.params
-    x = lo + (hi - lo) * _cheng_variates(a, b, streams, n)
-    return np.clip(x, spec.clamp_lo, spec.clamp_hi)
+    return x[0] if one else x

@@ -23,6 +23,11 @@ __all__ = ["RandomStream", "replication_entropy", "training_entropy"]
 # episodes so that the two never share draws.
 _REPLICATION_TAG = 0
 _TRAINING_TAG = 1
+# A look-ahead draws at least this many uniforms from the generator and
+# keeps them for the draws that follow, so that the samplers' many short
+# look-aheads and skips each cost a slice rather than a generator call.
+_AHEAD = 1024
+_NONE = np.empty(0)
 
 
 def replication_entropy(seed: int, replication: int) -> tuple:
@@ -59,31 +64,50 @@ class RandomStream:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy + [self.stream_id]))
         )
+        # Uniforms drawn from the generator but not yet consumed.
+        self._ahead = _NONE
 
     def uniform(self) -> float:
         """One 53-bit uniform in [0, 1)."""
-        self.counter += 1
-        return float(self._gen.random())
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1), identical to ``n`` successive uniform() calls."""
-        self.counter += int(n)
-        return self._gen.random(int(n))
+        n = int(n)
+        k = self._ahead.size
+        if n <= k:
+            u = self._ahead[:n]
+        else:
+            more = self._gen.random(n - k)
+            u = np.concatenate([self._ahead, more]) if k else more
+        self._ahead = self._ahead[n:] if n < k else _NONE
+        self.counter += n
+        return u
 
     def peek(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms, leaving the stream where it was."""
-        bitgen = self._gen.bit_generator
-        state = bitgen.state
-        u = self._gen.random(int(n))
-        bitgen.state = state
-        return u
+        """The next ``n`` uniforms, leaving the stream where it was.
+
+        The result is a view of the uniforms held ahead: read it, do not
+        write it.
+        """
+        n = int(n)
+        k = self._ahead.size
+        if k < n:
+            more = self._gen.random(max(n - k, _AHEAD))
+            self._ahead = np.concatenate([self._ahead, more]) if k else more
+        return self._ahead[:n]
 
     def skip(self, n: int) -> None:
         """Consume ``n`` uniforms without drawing them, as ``uniforms(n)`` would."""
-        # PCG64 makes one 64-bit output per double, so advancing n outputs
-        # lands where n draws would.
-        self._gen.bit_generator.advance(int(n))
-        self.counter += int(n)
+        n = int(n)
+        self.counter += n
+        k = self._ahead.size
+        # An emptied store lets go of the array it viewed.
+        self._ahead = self._ahead[n:] if n < k else _NONE
+        if n > k:
+            # PCG64 makes one 64-bit output per double, so advancing n outputs
+            # lands where n draws would.
+            self._gen.bit_generator.advance(n - k)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, "

@@ -20,7 +20,8 @@ from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import INVERSE_FAMILIES, DistributionSpec, sample_streams, transform
+from .distributions import (INVERSE_FAMILIES, NORMAL_FAMILIES, DistributionSpec, from_normals,
+                            ndtri, sample_many, transform)
 from .rng import RandomStream
 
 __all__ = [
@@ -103,10 +104,14 @@ def load_model(path) -> MonthlyWeatherModel:
     table = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
         required = {"month", "variable", "family", "params", "clamp_lo", "clamp_hi"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ModelFormatError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             try:
                 month = int(row["month"])
                 var = row["variable"]
@@ -144,18 +149,19 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     time, from that day's month with ``streams[r]``: the same values, and
     every stream left with the same ``counter`` and the same next uniform.
     The replications are drawn month-major: each maximal stretch of
-    inverse-transform days takes one ``uniforms`` call per stream, and each
-    month's transform runs once over all rows; each stretch of a
-    rejection-family month takes one
-    :func:`~pvclean.distributions.sample_streams` call, which classifies a
-    Cheng-BB beta's attempts for all streams at once and draws gamma and
-    Johnk betas one stream at a time.
+    inverse-transform days takes one ``uniforms`` call per stream, one
+    :func:`~pvclean.distributions.ndtri` call maps the uniforms of every day
+    whose family is a function of a normal, and each month's transform runs
+    once over all rows; each stretch of a rejection-family month takes one
+    :func:`~pvclean.distributions.sample_many` call over all streams.
 
-    Exactness rule: numpy's ``exp``, ``log`` and ``**`` may differ from
-    ``math``'s by an ulp, so numpy may only classify (which rejection
-    attempts are accepted).  Every returned value comes from the expression
-    the per-day path uses: the numpy inverse transforms, and the scalar
-    ``math`` code of the rejection samplers.
+    Exactness rule: numpy's vectorized ``exp``, ``log`` and ``**`` may
+    differ from ``math``'s (the C library's) by an ulp.  Every value is the
+    one the per-day path computes: the inverse transforms are numpy's, and
+    wherever the rejection samplers' per-attempt code calls the C library,
+    numpy computes the value through the C library too
+    (``distributions._c``), both to decide which attempts are accepted and
+    for the accepted draws.
     """
     if not (isinstance(n_days, (int, np.integer)) and not isinstance(n_days, bool)
             and n_days >= 0):
@@ -176,18 +182,23 @@ def _trajectory(specs: list, months: np.ndarray, streams: list) -> np.ndarray:
     key = np.where(inverse[months - 1], 0, months)
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     x = np.empty((len(streams), len(months)))
-    u = np.empty_like(x)  # the uniforms of the inverse-transform days
+    u = np.empty_like(x)  # the uniforms of the inverse-transform days, then their normals
     for start, stop in zip(starts, [*starts[1:], len(months)]):
         if key[start] == 0:
             for row, stream in zip(u, streams):
                 row[start:stop] = stream.uniforms(stop - start)
         else:
-            x[:, start:stop] = sample_streams(specs[key[start] - 1], streams, stop - start)
+            x[:, start:stop] = sample_many(specs[key[start] - 1], streams, stop - start)
+    # The uniforms of the days whose family is a function of a normal become
+    # normals, in one ndtri call.
+    normal = np.flatnonzero(np.array([spec.family in NORMAL_FAMILIES for spec in specs])[months - 1])
+    u[:, normal] = ndtri(u[:, normal])
     for m in np.flatnonzero(inverse) + 1:
         days = np.flatnonzero(months == m)
         if days.size:
             spec = specs[m - 1]
-            x[:, days] = np.clip(transform(spec, u[:, days]), spec.clamp_lo, spec.clamp_hi)
+            draw = from_normals if spec.family in NORMAL_FAMILIES else transform
+            x[:, days] = np.clip(draw(spec, u[:, days]), spec.clamp_lo, spec.clamp_hi)
     return x
 
 

@@ -1,12 +1,14 @@
 """Per-attempt reference samplers shared by the distribution and weather tests.
 
-``pvclean.distributions.sample_many`` draws a gamma and a Cheng-BB beta as
-a block: it peeks at the stream, maps the block through the in-tree
-``ndtri`` at once, and (for Cheng BB) lets numpy (``_cheng_accepts``) pick
-the accepted attempts.  The oracles here draw one uniform at a time, take
-each normal from ``scipy.special.ndtri`` and test each attempt with scalar
-code, so the tests that compare against them stay independent of the
-block samplers and of the kernel.
+``pvclean.distributions.sample_many`` draws a gamma and a beta as a block:
+it peeks at every stream, maps the blocks through the in-tree ``ndtri`` at
+once, and lets numpy decide the accepted attempts and compute their draws,
+with the C library's ``exp``, ``log`` and ``pow`` (``distributions._c``).
+The oracles here draw one uniform at a time, take each normal from
+``scipy.special.ndtri`` and run each attempt as scalar ``math`` code, so
+the tests that compare against them stay independent of the block samplers
+and of the kernel.  ``ndtri1`` is the kernel's scalar form, the same
+operations on Python floats.
 """
 
 import math
@@ -14,8 +16,61 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from pvclean.distributions import (_TINY, _cheng_accept, _cheng_constants, _cheng_value,
-                                   sample_many)
+from pvclean.distributions import (_EXP_M2, _LOG4, _LOG5, _P0, _P1, _P2, _Q0, _Q1, _Q2,
+                                   _SQRT_2PI, _TINY, _cheng_constants, _polevl, sample_many)
+
+
+def ndtri1(p: float) -> float:
+    """``distributions.ndtri`` of one float in [0, 1]: the same operations on Python floats,
+    with the central and first tail polynomials unrolled."""
+    flip = p > 1.0 - _EXP_M2
+    y = 1.0 - p if flip else p
+    if y > _EXP_M2:
+        t = y - 0.5
+        t2 = t * t
+        P, Q = _P0, _Q0
+        n = (((P[0] * t2 + P[1]) * t2 + P[2]) * t2 + P[3]) * t2 + P[4]
+        q = (((((((t2 + Q[1]) * t2 + Q[2]) * t2 + Q[3]) * t2 + Q[4]) * t2 + Q[5]) * t2
+              + Q[6]) * t2 + Q[7]) * t2 + Q[8]
+        return (t + t * (t2 * n / q)) * _SQRT_2PI
+    if y == 0.0:
+        return math.inf if flip else -math.inf
+    r = math.sqrt(-2.0 * math.log(y))
+    w = 1.0 / r
+    if r < 8.0:
+        P, Q = _P1, _Q1
+        n = (((((((P[0] * w + P[1]) * w + P[2]) * w + P[3]) * w + P[4]) * w + P[5]) * w
+              + P[6]) * w + P[7]) * w + P[8]
+        q = (((((((w + Q[1]) * w + Q[2]) * w + Q[3]) * w + Q[4]) * w + Q[5]) * w + Q[6]) * w
+             + Q[7]) * w + Q[8]
+        r1 = w * n / q
+    else:
+        r1 = w * _polevl(w, _P2) / _polevl(w, _Q2)
+    d = r - math.log(r) / r - r1
+    return d if flip else -d
+
+
+def cheng_accept(u1: float, u2: float, c: tuple) -> bool:
+    """Whether Cheng BB accepts the attempt (u1, u2); each attempt takes 2 uniforms."""
+    a0, b0, alpha, beta, gamma = c
+    if u1 <= 0.0 or u1 >= 1.0:
+        return False
+    v = beta * math.log(u1 / (1.0 - u1))
+    w = a0 * math.exp(v)
+    z = u1 * u1 * u2
+    r = gamma * v - _LOG4
+    s = a0 + r - w
+    if s + 1.0 + _LOG5 >= 5.0 * z:
+        return True
+    t = math.log(z) if z > 0.0 else -math.inf
+    return s >= t or r + alpha * math.log(alpha / (b0 + w)) >= t
+
+
+def cheng_value(u1: float, a: float, c: tuple) -> float:
+    """The beta variate an accepted Cheng BB attempt with first uniform u1 returns."""
+    a0, b0, _, beta, _ = c
+    w = a0 * math.exp(beta * math.log(u1 / (1.0 - u1)))
+    return w / (b0 + w) if a == a0 else b0 / (b0 + w)
 
 
 def is_cheng(spec) -> bool:
@@ -31,8 +86,8 @@ def cheng_one_by_one(spec, stream, n: int, clamp: bool = True) -> np.ndarray:
     while len(x) < n:
         u1 = stream.uniform()
         u2 = max(stream.uniform(), _TINY)
-        if _cheng_accept(u1, u2, c):
-            x.append(_cheng_value(u1, a, c))
+        if cheng_accept(u1, u2, c):
+            x.append(cheng_value(u1, a, c))
     x = lo + (hi - lo) * np.array(x)
     return np.clip(x, spec.clamp_lo, spec.clamp_hi) if clamp else x
 
@@ -64,12 +119,39 @@ def gamma_one_by_one(spec, stream, n: int, clamp: bool = True) -> np.ndarray:
     return np.clip(x, spec.clamp_lo, spec.clamp_hi) if clamp else x
 
 
-def sample_one(spec, stream) -> float:
-    """One clamped draw of ``spec``; a gamma and a Cheng-BB beta go through the oracles."""
+def johnk_variate(a: float, b: float, stream) -> float:
+    """Standard beta draw by Johnk's method, for min(a, b) <= 1."""
+    while True:
+        u = max(stream.uniform(), _TINY)
+        v = max(stream.uniform(), _TINY)
+        x = u ** (1.0 / a)
+        y = v ** (1.0 / b)
+        if x + y <= 1.0:
+            if x + y > 0.0:
+                return x / (x + y)
+            # Underflow: fall back to log-scale comparison.
+            lx = math.log(u) / a
+            ly = math.log(v) / b
+            m = max(lx, ly)
+            return math.exp(lx - m) / (math.exp(lx - m) + math.exp(ly - m))
+
+
+def johnk_one_by_one(spec, stream, n: int, clamp: bool = True) -> np.ndarray:
+    """``n`` draws of a Johnk beta ``spec``, one two-uniform attempt at a time."""
+    lo, hi, a, b = spec.params
+    x = lo + (hi - lo) * np.array([johnk_variate(a, b, stream) for _ in range(n)])
+    return np.clip(x, spec.clamp_lo, spec.clamp_hi) if clamp else x
+
+
+def one_by_one(spec, stream, n: int, clamp: bool = True) -> np.ndarray:
+    """``n`` draws of a gamma or beta ``spec`` through the per-attempt oracle of its sampler."""
     if spec.family == "gamma":
-        draw = gamma_one_by_one
-    elif is_cheng(spec):
-        draw = cheng_one_by_one
-    else:
-        draw = sample_many
+        return gamma_one_by_one(spec, stream, n, clamp)
+    draw = cheng_one_by_one if is_cheng(spec) else johnk_one_by_one
+    return draw(spec, stream, n, clamp)
+
+
+def sample_one(spec, stream) -> float:
+    """One clamped draw of ``spec``; a gamma and a beta go through the oracles."""
+    draw = one_by_one if spec.family in ("gamma", "beta") else sample_many
     return float(draw(spec, stream, 1)[0])

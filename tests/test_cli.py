@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pvclean
 from pvclean.cli import main
 from pvclean.environment import preset, save_config
 from pvclean.nn import DenseNet, save_net
+from pvclean.weather import default_model, save_model
 
 ARGS = ["--horizon", "1", "--seed", "0"]
 
@@ -291,3 +293,79 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0], "scipy": []}
+
+
+def one_error_line(capsys):
+    """The single ``error:`` line a failed command printed, with no traceback."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), captured.err
+    return err[0]
+
+
+def test_case_naming_a_directory_is_an_error(tmp_path, capsys):
+    rc = run(["simopt", "--case", tmp_path, *ARGS, "--reps", "2", "--zmax", "3",
+              "--out", tmp_path / "out"])
+    assert rc == 1
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+def test_policy_naming_a_directory_is_an_error(tmp_path, capsys):
+    rc = run(["eval", tmp_path, "--case", "S1exp", *ARGS, "--out", tmp_path / "out"])
+    assert rc == 1
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+def test_weather_model_path_naming_a_directory_is_an_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1, weather_model_path=str(tmp_path)), path)
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    assert rc == 1
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+def test_out_naming_a_file_is_an_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = run(["eval", "interval:20", "--case", "S1exp", *ARGS, "--episodes", "1",
+              "--out", out])
+    assert rc == 1
+    assert str(out) in one_error_line(capsys)
+
+
+def test_non_utf8_config_is_an_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1), path)
+    path.write_bytes(path.read_bytes().replace(b'"S1exp"', b'"S1\xffexp"'))
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    assert rc == 1
+    assert one_error_line(capsys).startswith(f"error: {path}: ")
+
+
+def test_non_utf8_weather_model_is_an_error(tmp_path, capsys):
+    model = tmp_path / "model.csv"
+    save_model(default_model(), model)
+    model.write_bytes(model.read_bytes().replace(b"temperature", b"temp\xffrature", 1))
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    assert rc == 1
+    assert one_error_line(capsys).startswith(f"error: {model}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["simopt", "--reps", "2", "--zmax", "5"],
+    ["eval", "interval:5", "--episodes", "2"],
+    ["trace", "interval:5"],
+], ids=["simopt", "eval", "trace"])
+def test_overflowing_config_is_an_error(tmp_path, capsys, command):
+    # tariff * panel_area overflows, so costs are inf or nan: exit 1 and no CSV.
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1, tariff=1e308, panel_area=1e308), path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run([*command, "--case", path, "--out", out])
+    assert rc == 1
+    assert "non-finite" in one_error_line(capsys)
+    assert not list(out.glob("*.csv"))

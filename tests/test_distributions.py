@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pvclean import distributions
-from pvclean.distributions import (_EXP_M2, DistributionSpec, ParameterError, _cheng_accept,
-                                   _cheng_accepts, _cheng_constants, _cheng_variates,
-                                   _ndtri1, sample_many, sample_streams)
+from pvclean.distributions import (_EXP_M2, DistributionSpec, ParameterError, _c,
+                                   _cheng_accepts, _cheng_constants, _cheng_variates, sample_many)
 from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
 
-from oracles import cheng_one_by_one, gamma_one_by_one, is_cheng
+from oracles import (cheng_accept, cheng_one_by_one, gamma_one_by_one, is_cheng,
+                     johnk_one_by_one, ndtri1, one_by_one)
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -83,7 +83,7 @@ def test_family_name_case_insensitive():
 def assert_ndtri_is_scipys(p):
     """``distributions.ndtri(p)`` equals ``scipy.special.ndtri(p)`` bit for bit,
     NaN where scipy gives NaN, and raises no warning; so does the scalar
-    path ``_ndtri1`` on every element in [0, 1]."""
+    path ``oracles.ndtri1`` on every element in [0, 1]."""
     p = np.asarray(p, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -95,21 +95,54 @@ def assert_ndtri_is_scipys(p):
     bad = np.flatnonzero(got[~nan].view(np.int64) != expect[~nan].view(np.int64))
     assert bad.size == 0, (p[~nan][bad[:5]], got[~nan][bad[:5]], expect[~nan][bad[:5]])
     unit = (p >= 0.0) & (p <= 1.0)
-    scalar = np.array([_ndtri1(v) for v in p[unit].tolist()], dtype=float)
+    scalar = np.array([ndtri1(v) for v in p[unit].tolist()], dtype=float)
     assert scalar.tobytes() == expect[unit].tobytes()
 
 
 def test_logs_are_the_c_librarys():
-    # Where numpy's vectorized log differs from the C library's, _logs must
-    # not: for a whole array, and for each such value alone and in a pair.
-    y = RandomStream(7).uniforms(1_000_000) * _EXP_M2
-    expect = np.array([math.log(v) for v in y.tolist()])
-    assert distributions._logs(y).tobytes() == expect.tobytes()
-    differ = np.flatnonzero(np.log(y) != expect)
-    for i in differ[:100]:
-        assert distributions._logs(y[i:i + 1])[0] == expect[i]
-        assert distributions._logs(y[i - 1:i + 1]).tobytes() == expect[i - 1:i + 1].tobytes()
-    assert distributions._logs(np.empty(0)).shape == (0,)
+    # _c(np.log), _c(np.exp) and _c(np.power) at the samplers' exponents
+    # equal math.log, math.exp and Python's ** on 10^6 inputs each, among
+    # them the inputs where numpy's vectorized loop differs: for a whole
+    # array, and for each such value alone and in a pair.
+    u = RandomStream(7).uniforms(1_000_000)
+    cases = [(np.log, u * _EXP_M2, (), math.log), (np.log, u * 1e3, (), math.log),
+             (np.exp, u * 60.0 - 30.0, (), math.exp)]
+    cases += [(np.power, u * 8.0 - 4.0, (e,), pow) for e in (2.0, 3.0, 4.0)]
+    cases += [(np.power, u, (1.0 / a,), pow) for a in (1.06, 0.5, 0.05)]
+    for ufunc, y, args, f in cases:
+        expect = np.array([f(v, *args) for v in y.tolist()])
+        assert _c(ufunc, y, *args).tobytes() == expect.tobytes(), (ufunc, args)
+        differ = np.flatnonzero(ufunc(y, *args) != expect)
+        for i in differ[:100]:
+            assert _c(ufunc, y[i:i + 1], *args)[0] == expect[i]
+            assert _c(ufunc, y[i - 1:i + 1], *args).tobytes() == expect[i - 1:i + 1].tobytes()
+        assert _c(ufunc, y[:6].reshape(2, 3), *args).tobytes() == expect[:6].tobytes()
+        assert _c(ufunc, np.empty(0), *args).shape == (0,)
+
+
+def test_c_falls_back_to_math_when_the_overlap_trick_fails(monkeypatch):
+    """A numpy whose overlapping loop is not the C library's sends every
+    call of _c through math: the same bits, and the same draws."""
+    def off_by_an_ulp(ufunc, x, *args):
+        return np.nextafter(ufunc(x, *args), np.inf)
+
+    monkeypatch.setattr(distributions, "_overlapped", off_by_an_ulp)
+    distributions._overlap_is_libm.cache_clear()
+    try:
+        assert not distributions._overlap_is_libm()
+        y = RandomStream(8).uniforms(20_000)
+        assert _c(np.log, y).tobytes() == np.array([math.log(v) for v in y.tolist()]).tobytes()
+        with np.errstate(divide="ignore", over="ignore"):
+            assert _c(np.log, [0.0, 1.0])[0] == -np.inf
+            assert _c(np.exp, [1e4])[0] == np.inf
+        for spec in (DistributionSpec("beta", (0.0, 1.0, 4.96, 2.23)),
+                     DistributionSpec("gamma", (0.0, 1.0, 0.5)),
+                     DistributionSpec("beta", (0.0, 1.0, 0.6, 0.9))):
+            block, alone = RandomStream(9), RandomStream(9)
+            assert sample_many(spec, block, 200).tobytes() == one_by_one(spec, alone, 200).tobytes()
+            assert block.counter == alone.counter
+    finally:
+        distributions._overlap_is_libm.cache_clear()
 
 
 def test_ndtri_of_stream_uniforms():
@@ -152,6 +185,28 @@ def test_ndtri_keeps_the_shape(shape):
                   min_size=1, max_size=50))
 def test_ndtri_equals_scipy_on_any_probability(p):
     assert_ndtri_is_scipys(p)
+
+
+_B = distributions._BLOCK
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.integers(1, 3), offset=st.integers(-3, 3), rows=st.sampled_from([1, 3, 30]),
+       seed=st.integers(0, 2 ** 32), cuts=st.lists(st.integers(0, 3 * _B + 3), max_size=6),
+       special=st.lists(st.sampled_from([0.0, 1.0, _EXP_M2, 1.0 - _EXP_M2, 5e-324]), max_size=4))
+def test_ndtri_blocks_equal_per_element_results(blocks, offset, rows, seed, cuts, special):
+    """ndtri works through blocks of _BLOCK values; across their edges every
+    value equals scipy's per-element cephes result and ndtri of any split of
+    the input, as when it was called once per month."""
+    size = max(1, blocks * _B + offset)
+    p = RandomStream(seed).uniforms(size)
+    for k, v in enumerate(special):  # special values right at block edges
+        p[min(size - 1, max(0, (k + 1) * _B - 1 + k % 2))] = v
+    whole = distributions.ndtri(p.reshape(rows, -1) if size % rows == 0 else p).ravel()
+    assert whole.tobytes() == ndtri(p).tobytes()
+    edges = sorted({0, size, *[c for c in cuts if c < size]})
+    pieces = [distributions.ndtri(p[a:b]) for a, b in zip(edges, edges[1:])]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 # -- formula oracles (exact replay of the stream's uniforms) ----------------
@@ -347,17 +402,17 @@ def test_default_model_has_five_cheng_cells():
 
 
 def accept_boundary(c, u1):
-    """The adjacent u2 floats between which _cheng_accept(u1, u2) turns false.
+    """The adjacent u2 floats between which cheng_accept(u1, u2) turns false.
 
     Acceptance means z = u1*u1*u2 is small enough, so it is monotone in u2;
     bisect over the ordered bit patterns of the positive floats.
     """
     lo, hi = np.float64(5e-324).view(np.int64), np.float64(_TOP).view(np.int64)
-    if not _cheng_accept(u1, float(lo.view(np.float64)), c) or _cheng_accept(u1, _TOP, c):
+    if not cheng_accept(u1, float(lo.view(np.float64)), c) or cheng_accept(u1, _TOP, c):
         return []
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _cheng_accept(u1, float(mid.view(np.float64)), c):
+        if cheng_accept(u1, float(mid.view(np.float64)), c):
             lo = mid
         else:
             hi = mid
@@ -365,7 +420,9 @@ def accept_boundary(c, u1):
 
 
 @pytest.mark.parametrize("spec", _DEFAULT_CHENG, ids=lambda s: f"beta{s.params[2:]}")
-def test_cheng_classifier_matches_scalar_accept(spec, monkeypatch):
+def test_cheng_classifier_matches_scalar_accept(spec):
+    # Random attempts, the edges of the unit interval, and pairs one ulp
+    # either side of the decision: numpy decides each as the scalar test does.
     c = _cheng_constants(*spec.params[2:])
     u = RandomStream(41).uniforms(200_000)
     u1, u2 = list(u[0::2]), list(np.maximum(u[1::2], 5e-324))
@@ -380,22 +437,12 @@ def test_cheng_classifier_matches_scalar_accept(spec, monkeypatch):
     assert len(boundary) >= 20
     u1 += [x for x, _ in boundary]
     u2 += [y for _, y in boundary]
-    expect = np.array([_cheng_accept(x, y, c) for x, y in zip(u1, u2)])
+    expect = np.array([cheng_accept(x, y, c) for x, y in zip(u1, u2)])
     assert expect.any() and not expect.all()
-
-    rechecked = set()
-
-    def scalar(x, y, c):
-        rechecked.add((x, y))
-        return _cheng_accept(x, y, c)
-
-    monkeypatch.setattr(distributions, "_cheng_accept", scalar)
-    got = _cheng_accepts(np.array(u1), np.array(u2), c)
-    assert np.array_equal(got, expect)
-    # Pairs one ulp either side of the decision are left to the scalar test,
-    # and numpy decides nearly all the random ones itself.
-    assert set(boundary) <= rechecked
-    assert len(rechecked) <= len(boundary) + 4 * len(edges) + 10
+    assert np.array_equal(_cheng_accepts(np.array(u1), np.array(u2), c)[0], expect)
+    got = _cheng_accepts(np.array(u1[-len(boundary):]).reshape(-1, 2),
+                         np.array(u2[-len(boundary):]).reshape(-1, 2), c)[0]
+    assert np.array_equal(got.ravel(), expect[-len(boundary):])
 
 
 @pytest.mark.parametrize("params", [(4.96, 2.23), (2.23, 4.96), (3.0, 3.0), (1.001, 1000.0)])
@@ -478,11 +525,74 @@ def test_cheng_variates_doubles_only_the_short_streams(n):
 ], ids=lambda s: s.family + str(s.params[-2:]))
 @pytest.mark.parametrize("n", [0, 1, 40])
 def test_sample_streams_rows_equal_sample_many(spec, n):
+    # sample_many over a list of streams: row r is sample_many over streams[r] alone.
     streams = [RandomStream(s) for s in range(4)]
-    x = sample_streams(spec, streams, n)
+    x = sample_many(spec, streams, n)
     assert x.shape == (4, n)
     for seed, row, stream in zip(range(4), x, streams):
         alone = RandomStream(seed)
         assert row.tobytes() == sample_many(spec, alone, n).tobytes()
         assert stream.counter == alone.counter
         assert stream.uniform() == alone.uniform()
+
+
+_REJECTION = st.one_of(
+    st.tuples(st.floats(1.001, 30.0), st.floats(1.001, 30.0)).map(
+        lambda ab: DistributionSpec("beta", (10.0, 90.0, *ab), clamp_lo=12.0, clamp_hi=88.0)),
+    st.floats(0.05, 30.0).map(
+        lambda a: DistributionSpec("gamma", (1.0, 3.0, a), clamp_lo=1.2, clamp_hi=9.0)),
+    st.floats(0.05, 0.999).map(lambda a: DistributionSpec("gamma", (0.0, 1.0, a))),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 20.0)).map(
+        lambda ab: DistributionSpec("beta", (0.0, 40.0, *ab))),
+    st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 1.0)).map(
+        lambda ab: DistributionSpec("beta", (0.0, 40.0, *ab))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_REJECTION, n=st.integers(0, 60),
+       seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=5))
+def test_sample_many_rows_equal_the_per_attempt_oracle(spec, n, seeds):
+    """Each row of a gamma, Cheng-BB or Johnk draw over a list of streams
+    equals that stream's per-attempt oracle draws: values, counter and the
+    next uniform."""
+    streams = [RandomStream(s) for s in seeds]
+    x = sample_many(spec, streams, n)
+    assert x.shape == (len(seeds), n)
+    for row, stream, seed in zip(x, streams, seeds):
+        alone = RandomStream(seed)
+        assert row.tobytes() == one_by_one(spec, alone, n).tobytes()
+        assert stream.counter == alone.counter
+        assert stream.uniform() == alone.uniform()
+
+
+class ListStream(RandomStream):
+    """A stream that returns the uniforms of a list, then those of ``RandomStream(0)``."""
+
+    def __init__(self, head):
+        super().__init__(0)
+        self.head = list(head)
+
+    def uniforms(self, n):
+        u = self.peek(n)
+        self.skip(n)
+        return u
+
+    def peek(self, n):
+        k = min(n, len(self.head))
+        return np.concatenate([self.head[:k], super().peek(n - k)])
+
+    def skip(self, n):
+        k = min(n, len(self.head))
+        del self.head[:k]
+        super().skip(n - k)
+        self.counter += k
+
+
+def test_johnk_underflow_draws_from_logs():
+    # u^(1/a) and v^(1/b) both underflow to 0, so the draw is the ratio of logs.
+    spec = DistributionSpec("beta", (0.0, 1.0, 0.01, 0.01))
+    head = [1e-10, 1.01e-10, 0.0, 1e-9, 0.9, 0.99]
+    x = sample_many(spec, ListStream(head), 3, clamp=False)
+    expect = johnk_one_by_one(spec, ListStream(head), 3, clamp=False)
+    assert x.tobytes() == expect.tobytes()
+    assert 0.0 < x[0] < 1.0
