@@ -11,7 +11,7 @@ networks from :mod:`pvclean.nn`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ _SMOOTH_WINDOW = 20
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite episode reward or update loss."""
+    """A non-finite result: an episode reward, update loss or cost."""
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,6 @@ class SACAgent:
 
     def __init__(self, obs_dim: int, config: SACConfig = SACConfig(), seed: int = 0):
         self.config = config
-        self.obs_dim = obs_dim
         h = config.hidden
         self.actor = DenseNet([obs_dim, h, h, 2], ["relu", "relu", "softmax"], seed=seed)
         self.q1 = DenseNet([obs_dim + 2, h, h, 1], ["relu", "relu", "linear"], seed=seed + 1)
@@ -384,14 +383,11 @@ class SACAgent:
 
 @dataclass
 class TrainResult:
-    agent_kind: str
     reward_curve: list
     best_net: DenseNet          # actor checkpoint with best smoothed reward
     final_net: DenseNet
     best_smoothed_reward: float
-    episodes: int
-    seed: int
-    loss_history: list = field(default_factory=list)
+    loss_history: list
 
 
 @dataclass
@@ -400,11 +396,6 @@ class EvalResult:
     mean_cleanings: float
     costs: list
     cleanings: list
-
-
-def _smoothed(rewards, window: int = _SMOOTH_WINDOW) -> float:
-    tail = rewards[-window:]
-    return float(np.mean(tail))
 
 
 def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
@@ -455,13 +446,12 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
         if not math.isfinite(reward):
             raise NumericalError(f"training episode {ep} has a non-finite reward {reward}")
         reward_curve.append(reward)
-        smoothed = _smoothed(reward_curve)
+        smoothed = float(np.mean(reward_curve[-_SMOOTH_WINDOW:]))
         if smoothed > best:
             best = smoothed
             best_net = agent.actor.copy()
 
-    return TrainResult(agent_kind, reward_curve, best_net, agent.actor,
-                       best, episodes, seed, loss_history)
+    return TrainResult(reward_curve, best_net, agent.actor, best, loss_history)
 
 
 def rollout(policy, env: CleaningEnv, seeds, on_step=None) -> CleaningEnv:

@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +44,9 @@ def _scenario(args) -> ScenarioConfig:
         cfg = load_config(name)
     else:
         raise ConfigError(f"{name!r} is neither a preset nor a config file")
-    overrides = {}
-    if getattr(args, "horizon", None) is not None:
-        overrides["horizon_years"] = args.horizon
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "reward_mode", None):
-        overrides["reward_mode"] = args.reward_mode
-    if getattr(args, "norm_mode", None):
-        overrides["normalization_mode"] = args.norm_mode
-    return replace(cfg, **overrides) if overrides else cfg
+    # Each override flag's dest is the ScenarioConfig field it sets.
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
+                           if getattr(args, f.name, None) is not None})
 
 
 def _case_label(cfg: ScenarioConfig) -> str:
@@ -75,24 +68,18 @@ def _config_header(cfg: ScenarioConfig, extra: dict | None = None) -> list:
 
 
 def _write_csv(path: Path, header_lines, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write ``rows`` under the ``#`` header lines and the column names.
 
-
-def _check_finite(rows) -> None:
-    """Raise ``NumericalError`` unless every float in ``rows`` is finite.
-
-    Inputs whose magnitudes overflow (a tariff and a panel area near the
-    largest float, say) give an infinite or NaN cost; no CSV is written then.
+    Raises ``NumericalError``, and writes nothing, unless every float in
+    ``rows`` is finite: inputs whose magnitudes overflow (a tariff and a
+    panel area near the largest float, say) give an infinite or NaN cost.
     """
+    lines = [*header_lines, ",".join(columns)]
     for row in rows:
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise agents.NumericalError(f"non-finite result {v!r} in {tuple(row)!r}")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise agents.NumericalError(f"{path}: non-finite result in {tuple(row)!r}")
+        lines.append(",".join(_fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def _fmt(v) -> str:
@@ -113,7 +100,6 @@ def cmd_simopt(args) -> int:
     header = _config_header(cfg, {"replications": args.reps, "z_max": args.zmax})
     stderr = {e.z: float(np.std(e.costs) / np.sqrt(len(e.costs))) for e in curve}
     rows = [(e.z, e.mean_total_cost, stderr[e.z], e.mean_cleanings) for e in curve]
-    _check_finite(rows)
     _write_csv(out / f"{label}_simopt_curve.csv", header,
                ["z", "mean_total_cost", "stderr", "mean_cleanings"], rows)
     best = next(e for e in curve if e.z == z_star)
@@ -159,7 +145,6 @@ def cmd_eval(args) -> int:
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy, "episodes": args.episodes})
     rows = [(label, result.mean_cleanings, result.mean_total_cost)]
-    _check_finite(rows)
     _write_csv(out / f"{label}_eval_summary.csv", header,
                ["case", "mean_cleanings", "mean_total_cost"], rows)
     print(f"{label}: eval mean_total_cost={result.mean_total_cost:.6g} "
@@ -186,23 +171,25 @@ def cmd_trace(args) -> int:
     obs_names = [f"obs_{name}" for name in list(FEATURE_SCALES)[:cfg.obs_dim]]
     label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy})
-    _check_finite(rows)
     _write_csv(out / f"{label}_trace.csv", header,
                ["day", "action", *obs_names, *_TRACE_INFO], rows)
     print(f"{label}: trace with {len(rows)} days -> {label}_trace.csv")
     return 0
 
 
-def _read_summary(path: Path) -> dict | None:
+def _read_summary(path: Path, columns: tuple) -> dict | None:
+    """The data row of a summary CSV, which must hold ``columns``; None if there is no file."""
     if not path.exists():
         return None
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
     if len(lines) < 2:
         raise ValueError(f"{path}: no data row under the header")
-    cols = lines[0].split(",")
-    vals = lines[1].split(",")
-    return dict(zip(cols, vals))
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    missing = [c for c in columns if c not in row]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)} column")
+    return row
 
 
 def cmd_report(args) -> int:
@@ -210,14 +197,18 @@ def cmd_report(args) -> int:
     rows = []
     incomplete = False
     for name in PRESETS:
-        sim = _read_summary(directory / f"{name}_simopt_summary.csv")
-        ev = _read_summary(directory / f"{name}_eval_summary.csv")
+        sim_path = directory / f"{name}_simopt_summary.csv"
+        sim = _read_summary(sim_path, ("z_star", "mean_cleanings", "mean_total_cost"))
+        ev = _read_summary(directory / f"{name}_eval_summary.csv",
+                           ("mean_cleanings", "mean_total_cost"))
         if sim is None or ev is None:
             rows.append((name, "", "", "", "", "", "", "incomplete"))
             incomplete = True
             continue
         a = float(sim["mean_total_cost"])
         b = float(ev["mean_total_cost"])
+        if a == 0.0:
+            raise ValueError(f"{sim_path}: mean_total_cost is 0, so no saving is defined")
         saving = (a - b) / a
         rows.append((name, int(sim["z_star"]), float(sim["mean_cleanings"]), a,
                      float(ev["mean_cleanings"]), b, saving, "ok"))
@@ -235,12 +226,12 @@ def cmd_report(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(p, horizon_default=None):
+def _add_common(p):
     p.add_argument("--case", required=True,
                    help="preset name (S1exp..S5uae) or scenario config JSON path")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p.add_argument("--horizon", type=int, default=horizon_default,
-                   help="override horizon in years")
+    p.add_argument("--horizon", dest="horizon_years", type=int, default=None,
+                   help="override horizon in years (1..100)")
     p.add_argument("--out", default=None,
                    help="output directory (default: $PVCLEAN_OUT_DIR or '.')")
 
@@ -263,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=150)
     p.add_argument("--reward-mode", dest="reward_mode",
                    choices=["per_step", "terminal"], default=None)
-    p.add_argument("--norm-mode", dest="norm_mode",
+    p.add_argument("--norm-mode", dest="normalization_mode",
                    choices=["feature_scaled", "div10"], default=None)
     p.set_defaults(func=cmd_train)
 
@@ -291,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # A result made non-finite by overflow is reported as one error line
-        # (_check_finite), not also as numpy warnings.
+        # (_write_csv), not also as numpy warnings.
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, OSError, ValueError, agents.NumericalError) as exc:

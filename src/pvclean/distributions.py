@@ -358,6 +358,27 @@ def _ndtri_tails(p: np.ndarray) -> np.ndarray:
     return np.where(inside, d, np.where(y == 0.0, np.where(flip, np.inf, -np.inf), np.nan))
 
 
+def _blockwise(streams: list, n: int, size: int, block) -> np.ndarray:
+    """``n`` draws from each stream, shaped (len(streams), n), block by block.
+
+    Peeks at ``size`` uniforms of every unfinished stream, and
+    ``block(u)`` decides every attempt of all rows of ``u`` at once.  It
+    returns which rows hold ``n`` draws, and for those rows the uniforms
+    the draws use and the draws.  Each finished stream is skipped past the
+    uniforms it used, so it ends where drawing one uniform at a time
+    would; the rest are peeked again, twice as long.
+    """
+    x = np.empty((len(streams), n))
+    todo = np.arange(len(streams) if n else 0)
+    while todo.size:
+        done, used, draws = block(np.array([streams[r].peek(size) for r in todo]))
+        for r, k in zip(todo[done].tolist(), used):
+            streams[r].skip(k)
+        x[todo[done]] = draws
+        todo, size = todo[~done], 2 * size
+    return x
+
+
 def _gamma_variates(shape: float, streams: list, n: int) -> np.ndarray:
     """``n`` standard gamma draws from each stream by the Marsaglia-Tsang
     squeeze method, shaped (len(streams), n).
@@ -365,20 +386,15 @@ def _gamma_variates(shape: float, streams: list, n: int) -> np.ndarray:
     Each attempt takes a normal z, :func:`ndtri` of one uniform, and, unless
     v = (1 + c z)^3 <= 0, a second uniform w for the squeeze and log tests.
     For shape < 1 each draw first takes the uniform b of the boost G(a) =
-    G(a + 1) * b^(1/a).  Peeks at a block of every stream and decides, at
-    every position of all blocks in one numpy pass, what an attempt
-    starting there does; :func:`_gamma_walk` then finds each stream's
-    attempt boundaries.  A stream whose block runs out is peeked again with
-    a block twice as long.  Each stream is then skipped past the uniforms
-    used, so it ends where drawing one uniform at a time would.
+    G(a + 1) * b^(1/a).  Every position of a block (:func:`_blockwise`) is
+    decided in one numpy pass as if an attempt started there;
+    :func:`_gamma_walk` then finds each stream's attempt boundaries.
     """
     boost = shape < 1.0
     d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    x = np.empty((len(streams), n))
-    todo, size = list(range(len(streams))), (3 if boost else 2) * n + n // 4 + 8
-    while todo:
-        u = np.array([streams[r].peek(size) for r in todo])
+
+    def block(u):
         z = ndtri(u)
         v = _c(np.power, 1.0 + c * z, 3.0)
         # An attempt at position i takes its w from position i + 1.
@@ -390,46 +406,42 @@ def _gamma_variates(shape: float, streams: list, n: int) -> np.ndarray:
         accept[log] = _c(np.log, w[log]) < 0.5 * zl * zl + d * (1.0 - vl + _c(np.log, vl))
         code = live.astype(np.int8)
         code += accept
-        short, done, hits, boosts = [], [], [], []
-        for k, row in enumerate(code.tolist()):
-            try:
-                used, hit, b = _gamma_walk(row, n, boost)
-            except IndexError:
-                short.append(todo[k])
-                continue
-            streams[todo[k]].skip(used)
-            done.append(k)
-            hits.append(hit)
-            boosts.append(b)
-        k = np.array(done, dtype=np.intp)[:, None]
-        draws = d * v[k, np.array(hits, dtype=np.intp).reshape(len(done), n)]
+        walks = [_gamma_walk(row, n, boost) for row in code.tolist()]
+        done = np.array([walk is not None for walk in walks])
+        walks = [walk for walk in walks if walk is not None]
+        k = np.flatnonzero(done)[:, None]
+        hits = np.array([walk[1] for walk in walks], dtype=np.intp).reshape(k.size, n)
+        draws = d * v[k, hits]
         if boost:
-            b = u[k, np.array(boosts, dtype=np.intp).reshape(len(done), n)]
+            b = u[k, np.array([walk[2] for walk in walks], dtype=np.intp).reshape(k.size, n)]
             draws *= _c(np.power, np.maximum(b, _TINY), 1.0 / shape)
-        x[[todo[i] for i in done]] = draws
-        todo, size = short, 2 * size
-    return x
+        return done, [walk[0] for walk in walks], draws
+
+    return _blockwise(streams, n, (3 if boost else 2) * n + n // 4 + 8, block)
 
 
-def _gamma_walk(code: list, n: int, boost: bool) -> tuple:
+def _gamma_walk(code: list, n: int, boost: bool) -> tuple | None:
     """Walk ``n`` gamma draws through one block.
 
     ``code[i]`` says what the attempt starting at position i does: 0 if
     v <= 0 (it takes one uniform), 1 if it is rejected and 2 if accepted
     (two uniforms each).  Returns the uniforms used, the position of each
     draw's accepted normal, and the position of each draw's boost uniform
-    (none unless ``boost``).  Raises ``IndexError`` when the block runs out.
+    (none unless ``boost``); or None when the block runs out.
     """
     i = 0
     hits, boosts = [], []
-    for _ in range(n):
-        if boost:
-            boosts.append(i)
-            i += 1
-        while code[i] != 2:
-            i += code[i] + 1
-        hits.append(i)
-        i += 2
+    try:
+        for _ in range(n):
+            if boost:
+                boosts.append(i)
+                i += 1
+            while code[i] != 2:
+                i += code[i] + 1
+            hits.append(i)
+            i += 2
+    except IndexError:
+        return None
     return i, hits, boosts
 
 
@@ -437,28 +449,20 @@ def _first_accepted(streams: list, n: int, attempts: int, attempt) -> np.ndarray
     """``n`` draws from each stream of a sampler whose attempts each take two
     uniforms (u1, u2), shaped (len(streams), n).
 
-    Peeks at a block of ``attempts`` attempts of every stream, and
-    ``attempt(u1, u2)`` returns, in one call for all blocks, whether each
-    attempt is accepted and the draw it gives if it is.  The block of each
-    stream that holds fewer than ``n`` acceptances is peeked again, twice
-    as long.  Each stream is then skipped past the uniforms its first ``n``
-    accepted attempts used, so it ends where drawing one attempt at a time
-    would.
+    The first block holds ``attempts`` attempts a stream (:func:`_blockwise`),
+    and ``attempt(u1, u2)`` returns, in one call for all blocks, whether each
+    attempt is accepted and the draw it gives if it is.  A stream's draws are
+    those of its first ``n`` accepted attempts.
     """
-    x = np.empty((len(streams), n))
-    todo = np.arange(len(streams) if n else 0)
-    while todo.size:
-        u = np.array([streams[r].peek(2 * attempts) for r in todo])
+    def block(u):
         accept, draws = attempt(u[:, 0::2], u[:, 1::2])
         count = np.cumsum(accept, axis=1)
         done = count[:, -1] >= n
         last = np.argmax(count[done] >= n, axis=1)  # each stream's n-th acceptance
-        for r, k in zip(todo[done].tolist(), last.tolist()):
-            streams[r].skip(2 * (k + 1))
-        x[todo[done]] = draws[done][accept[done] & (count[done] <= n)].reshape(-1, n)
-        todo = todo[~done]
-        attempts *= 2
-    return x
+        draws = draws[done][accept[done] & (count[done] <= n)].reshape(-1, n)
+        return done, (2 * last + 2).tolist(), draws
+
+    return _blockwise(streams, n, 2 * attempts, block)
 
 
 def _johnk_variates(a: float, b: float, streams: list, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ dynamics but is not exposed unless ``include_humidity`` is set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class ScenarioConfig:
     tariff: float                      # USD/kWh
     cleaning_cost: float               # USD/panel/cycle
     panel_area: float = 1.6            # m2
-    horizon_years: int = 20
+    horizon_years: int = 20            # 1..100
     reward_mode: str = "per_step"      # per_step | terminal
     normalization_mode: str = "feature_scaled"  # feature_scaled | div10
     start_month: int = 1
@@ -101,8 +101,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer: {value!r}")
-        if self.horizon_years < 1:
-            raise ConfigError(f"horizon_years must be >= 1: {self.horizon_years}")
+        # Weather is drawn for the whole horizon at once, so the bound keeps
+        # a mistyped horizon from asking for millions of days per variable.
+        if not 1 <= self.horizon_years <= 100:
+            raise ConfigError(f"horizon_years must be in 1..100: {self.horizon_years}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0: {self.seed}")
         if self.reward_mode not in ("per_step", "terminal"):
@@ -161,17 +163,8 @@ def preset(name: str, /, **overrides) -> ScenarioConfig:
 
 def save_config(config: ScenarioConfig, path) -> None:
     """Write a scenario config as JSON."""
-    data = {k: getattr(config, k) for k in (
-        "tariff", "cleaning_cost", "panel_area", "horizon_years", "reward_mode",
-        "normalization_mode", "start_month", "seed", "include_humidity",
-        "weather_model_path", "name")}
-    data["soiling"] = {
-        "humidity_k": config.soiling.humidity_k,
-        "beta_residue": config.soiling.beta_residue,
-        "annual_degradation": config.soiling.annual_degradation,
-        "eff_max": config.soiling.eff_max,
-        "cubic": list(config.soiling.cubic),
-    }
+    data = asdict(config)
+    data["soiling"] = data.pop("soiling")  # last, as config files have always had it
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

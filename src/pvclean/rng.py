@@ -72,16 +72,12 @@ class RandomStream:
         return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` uniforms in [0, 1), identical to ``n`` successive uniform() calls."""
-        n = int(n)
-        k = self._ahead.size
-        if n <= k:
-            u = self._ahead[:n]
-        else:
-            more = self._gen.random(n - k)
-            u = np.concatenate([self._ahead, more]) if k else more
-        self._ahead = self._ahead[n:] if n < k else _NONE
-        self.counter += n
+        """``n`` uniforms in [0, 1), identical to ``n`` successive uniform() calls.
+
+        Served from the look-ahead (:meth:`peek`, then :meth:`skip`).
+        """
+        u = self.peek(n)
+        self.skip(n)
         return u
 
     def peek(self, n: int) -> np.ndarray:

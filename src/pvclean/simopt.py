@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .agents import NumericalError
 from .environment import ScenarioConfig, cleaning_interval, day_arrays
 from .rng import replication_entropy
 from .weather import stack_weather
@@ -177,6 +178,7 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
     ``days`` takes the :func:`~pvclean.environment.day_arrays` of weather
     already drawn, and ``energy_loss`` the per-replication energy-loss
     costs of ``z`` when a sweep over several intervals has computed them.
+    Raises :class:`~pvclean.agents.NumericalError` if a cost is not finite.
     """
     z = cleaning_interval(z)
     if days is None:
@@ -192,6 +194,8 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
     cleanings = -(-days["d_cal"].shape[1] // z) - 1
     cleaning_cost = cleanings * config.cleaning_cost
     totals = energy_loss + cleaning_cost
+    if not np.isfinite(totals).all():
+        raise NumericalError(f"non-finite cost for interval {z}")
     return IntervalEvaluation(
         z=z,
         mean_total_cost=float(totals.mean()),

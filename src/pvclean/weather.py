@@ -25,7 +25,7 @@ from .distributions import (INVERSE_FAMILIES, NORMAL_FAMILIES, DistributionSpec,
 from .rng import RandomStream
 
 __all__ = [
-    "VARIABLES", "CLAMPS", "KMH_PER_MS", "MonthlyWeatherModel",
+    "VARIABLES", "KMH_PER_MS", "MonthlyWeatherModel",
     "default_model", "load_model", "save_model", "make_streams",
     "generate_weather", "stack_weather", "month_of_day", "MONTH_LENGTHS",
     "ModelFormatError",
@@ -34,17 +34,11 @@ __all__ = [
 VARIABLES = ("temperature", "wind_speed", "particulate_matter",
              "irradiance", "relative_humidity")
 
-# Physical clamp ranges per variable (applied to every draw).  Wind speed
-# is fitted and sampled in km/h (the weather source's native unit); the
-# clamp equals 30 m/s.  Consumers needing m/s divide by KMH_TO_MS.
+# Wind speed is fitted and sampled in km/h (the weather source's native
+# unit).  Consumers needing m/s divide by KMH_PER_MS.
 KMH_PER_MS = 3.6
-CLAMPS = {
-    "temperature": (0.0, 55.0),
-    "wind_speed": (0.0, 108.0),
-    "particulate_matter": (0.0, 5.0),
-    "irradiance": (0.0, 9000.0),
-    "relative_humidity": (1.0, 100.0),
-}
+# The columns of a model file (save_model, load_model).
+_COLUMNS = ("month", "variable", "family", "params", "clamp_lo", "clamp_hi")
 
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # The month (1..12) of each day of a year that starts in January, and the
@@ -90,7 +84,7 @@ def save_model(model: MonthlyWeatherModel, path) -> None:
     """Write a model as CSV: month, variable, family, params (;-joined), clamps."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["month", "variable", "family", "params", "clamp_lo", "clamp_hi"])
+        writer.writerow(_COLUMNS)
         for month in range(1, 13):
             for var in VARIABLES:
                 s = model.spec(month, var)
@@ -108,9 +102,8 @@ def load_model(path) -> MonthlyWeatherModel:
             rows = list(reader)
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
-        required = {"month", "variable", "family", "params", "clamp_lo", "clamp_hi"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ModelFormatError(f"{path}: header must contain {sorted(required)}")
+        if reader.fieldnames is None or not set(_COLUMNS).issubset(reader.fieldnames):
+            raise ModelFormatError(f"{path}: header must contain {sorted(_COLUMNS)}")
         for lineno, row in enumerate(rows, start=2):
             try:
                 month = int(row["month"])

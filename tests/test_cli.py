@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pvclean
+from pvclean import weather
 from pvclean.cli import main
 from pvclean.environment import preset, save_config
 from pvclean.nn import DenseNet, save_net
@@ -369,3 +370,31 @@ def test_overflowing_config_is_an_error(tmp_path, capsys, command):
     assert rc == 1
     assert "non-finite" in one_error_line(capsys)
     assert not list(out.glob("*.csv"))
+
+
+SIMOPT_SUMMARY = "case,z_star,mean_cleanings,mean_total_cost\nS1exp,36,10.0,{cost}\n"
+EVAL_SUMMARY = "case,mean_cleanings,mean_total_cost\nS1exp,12.0,20.0\n"
+
+
+@pytest.mark.parametrize("simopt_summary, names", [
+    ("case,z_star,mean_cleanings\nS1exp,36,10.0\n", "S1exp_simopt_summary.csv"),
+    (SIMOPT_SUMMARY.format(cost="0.0"), "S1exp_simopt_summary.csv"),
+    (SIMOPT_SUMMARY.format(cost="nan"), "report.csv"),
+], ids=["no-cost-column", "zero-cost", "nan-cost"])
+def test_bad_summary_is_a_report_error(tmp_path, capsys, simopt_summary, names):
+    (tmp_path / "S1exp_simopt_summary.csv").write_text(simopt_summary)
+    (tmp_path / "S1exp_eval_summary.csv").write_text(EVAL_SUMMARY)
+    rc = run(["report", "--dir", tmp_path, "--out", tmp_path])
+    assert rc == 1
+    assert str(tmp_path / names) in one_error_line(capsys)
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_horizon_beyond_bound_is_an_error(tmp_path, capsys, monkeypatch):
+    def no_weather(*args, **kwargs):
+        raise AssertionError("weather drawn")
+
+    monkeypatch.setattr(weather, "generate_weather", no_weather)
+    rc = run(["simopt", "--case", "S1exp", "--horizon", "1000000", "--out", tmp_path])
+    assert rc == 1
+    assert "horizon_years must be in 1..100" in one_error_line(capsys)

@@ -572,11 +572,6 @@ class ListStream(RandomStream):
         super().__init__(0)
         self.head = list(head)
 
-    def uniforms(self, n):
-        u = self.peek(n)
-        self.skip(n)
-        return u
-
     def peek(self, n):
         k = min(n, len(self.head))
         return np.concatenate([self.head[:k], super().peek(n - k)])

@@ -37,6 +37,9 @@ def test_config_validation():
         ScenarioConfig(tariff=0.1, cleaning_cost=0.1, panel_area=0.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(tariff=0.1, cleaning_cost=0.1, horizon_years=0)
+    with pytest.raises(ConfigError, match="horizon_years must be in 1..100"):
+        ScenarioConfig(tariff=0.1, cleaning_cost=0.1, horizon_years=101)
+    assert ScenarioConfig(tariff=0.1, cleaning_cost=0.1, horizon_years=100).n_days == 36500
     with pytest.raises(ConfigError):
         ScenarioConfig(tariff=0.1, cleaning_cost=0.1, reward_mode="sparse")
     with pytest.raises(ConfigError):
@@ -138,6 +141,73 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+PRESET_JSON = """\
+{
+  "tariff": 0.073,
+  "cleaning_cost": 0.0583,
+  "panel_area": 0.403214,
+  "horizon_years": 20,
+  "reward_mode": "per_step",
+  "normalization_mode": "feature_scaled",
+  "start_month": 1,
+  "seed": 0,
+  "include_humidity": false,
+  "weather_model_path": null,
+  "name": "S3exp",
+  "soiling": {
+    "humidity_k": 0.06,
+    "beta_residue": 0.01,
+    "annual_degradation": 0.05,
+    "eff_max": 0.192,
+    "cubic": [
+      -0.0026,
+      0.032,
+      -0.1369
+    ]
+  }
+}
+"""
+
+ODD_JSON = """\
+{
+  "tariff": 0.018,
+  "cleaning_cost": 0.0383,
+  "panel_area": 0.403214,
+  "horizon_years": 3,
+  "reward_mode": "terminal",
+  "normalization_mode": "div10",
+  "start_month": 5,
+  "seed": 11,
+  "include_humidity": true,
+  "weather_model_path": null,
+  "name": "odd",
+  "soiling": {
+    "humidity_k": 0.07,
+    "beta_residue": 0.01,
+    "annual_degradation": 0.05,
+    "eff_max": 0.192,
+    "cubic": [
+      -0.002,
+      0.03,
+      -0.13
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("cfg, text", [
+    (preset("S3exp"), PRESET_JSON),
+    (preset("S2uae", horizon_years=3, include_humidity=True, reward_mode="terminal",
+            normalization_mode="div10", start_month=5, seed=11, name="odd",
+            soiling=SoilingParams(humidity_k=0.07, cubic=(-0.002, 0.03, -0.13))), ODD_JSON),
+], ids=["preset", "non-default"])
+def test_save_config_bytes_are_pinned(tmp_path, cfg, text):
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    assert path.read_bytes() == text.encode()
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -1,6 +1,8 @@
 """Determinism and independence of the seeded uniform streams."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvclean.rng import RandomStream, replication_entropy, training_entropy
 
@@ -81,3 +83,33 @@ def test_peek_leaves_the_stream_and_skip_equals_drawing():
     a.skip(10)
     assert a.counter == b.counter == 13
     assert a.uniform() == b.uniform()
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(["uniform", "uniforms", "peek", "skip"]),
+                          st.integers(0, 3000)), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), stream_id=st.integers(0, 9), ops=_OPS)
+def test_any_interleaving_is_the_generators_sequence(seed, stream_id, ops):
+    # Look-aheads and skips that cross the stream's look-ahead block (1,024
+    # uniforms) in every order still read the plain generator's sequence.
+    need = sum(n for _, n in ops) + 3001
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
+    ref = ref.random(need)
+    s = RandomStream(seed, stream_id)
+    at = 0
+    for op, n in ops:
+        if op == "uniform":
+            assert s.uniform() == ref[at]
+            at += 1
+        elif op == "uniforms":
+            assert s.uniforms(n).tobytes() == ref[at:at + n].tobytes()
+            at += n
+        elif op == "peek":
+            assert s.peek(n).tobytes() == ref[at:at + n].tobytes()
+        else:
+            s.skip(n)
+            at += n
+        assert s.counter == at
+    assert s.uniform() == ref[at]

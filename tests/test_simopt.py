@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvclean import simopt
+from pvclean.agents import NumericalError
 from pvclean import soiling as phys
 from pvclean.environment import ScenarioConfig, day_arrays
 from pvclean.rng import replication_entropy
@@ -198,6 +199,16 @@ def test_evaluate_interval_rejects_energy_loss_of_other_replications(energy_loss
     message = f"energy_loss has shape {np.shape(energy_loss)}, not (3,)"
     with pytest.raises(ValueError, match=re.escape(message)):
         evaluate_interval(5, CFG, 3, days=days, energy_loss=energy_loss)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("search", [lambda cfg: evaluate_interval(5, cfg, replications=2),
+                                    lambda cfg: optimize(cfg, 1, 5, replications=2)],
+                         ids=["evaluate_interval", "optimize"])
+def test_overflowing_costs_are_an_error(search):
+    # tariff * panel_area overflows, so the energy-loss costs are inf - inf.
+    with pytest.raises(NumericalError, match="non-finite cost for interval"):
+        search(replace(CFG, tariff=1e308, panel_area=1e308))
 
 
 def test_common_random_numbers_across_intervals():

@@ -18,12 +18,21 @@ from hypothesis import strategies as st
 
 from pvclean import distributions
 from pvclean.distributions import DistributionSpec
-from pvclean.weather import (CLAMPS, MONTH_LENGTHS, VARIABLES,
-                             ModelFormatError, MonthlyWeatherModel,
+from pvclean.weather import (MONTH_LENGTHS, VARIABLES, ModelFormatError, MonthlyWeatherModel,
                              default_model, generate_weather, load_model,
                              make_streams, month_of_day, save_model, stack_weather)
 
 from oracles import is_cheng, sample_one
+
+# The physical clamp range of each variable in the bundled model.  Wind
+# speed is in km/h: its clamp equals 30 m/s.
+CLAMPS = {
+    "temperature": (0.0, 55.0),
+    "wind_speed": (0.0, 108.0),
+    "particulate_matter": (0.0, 5.0),
+    "irradiance": (0.0, 9000.0),
+    "relative_humidity": (1.0, 100.0),
+}
 
 
 @dataclass(frozen=True)
