@@ -1,11 +1,12 @@
 """Reproduce the frozen panel-area calibration behind the presets.
 
 Absolute USD totals scale linearly with panel area for a fixed seed, so a
-single reference point pins the scale: the area is tuned by bisection until
-the S3exp scenario's optimal 20-year Sim-Opt cost equals 24.8 USD, and that
-area (CALIBRATED_PANEL_AREA) is then frozen for all ten presets.
+single reference point pins the scale: the area at which the S3exp
+scenario's optimal 20-year Sim-Opt cost equals 24.8 USD is solved in closed
+form from one unit-area sweep, and that area (CALIBRATED_PANEL_AREA) is
+then frozen for all ten presets.
 
-Runs the full 20-year search; takes around a minute.
+Runs the full 20-year search seven times; takes a few seconds.
 """
 
 from pvclean.environment import CALIBRATED_PANEL_AREA, preset

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import CleaningEnv, ScenarioConfig, cleaning_interval, observation_scales
+from .environment import (CleaningEnv, NumericalError, ScenarioConfig, cleaning_interval,
+                          observation_scales)
 from .nn import Adam, DenseNet, clip_global_norm
 from .rng import RandomStream, replication_entropy, training_entropy
 
@@ -27,10 +28,6 @@ __all__ = [
 ]
 
 _SMOOTH_WINDOW = 20
-
-
-class NumericalError(RuntimeError):
-    """A non-finite result: an episode reward, update loss or cost."""
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -44,6 +45,9 @@ def _scenario(args) -> ScenarioConfig:
         cfg = load_config(name)
     else:
         raise ConfigError(f"{name!r} is neither a preset nor a config file")
+    # The name labels output files and is a field of their CSV rows.
+    if not re.fullmatch(r"[\w.-]*", cfg.name):
+        raise ConfigError(f"{name}: name must be letters, digits, '_', '.' or '-': {cfg.name!r}")
     # Each override flag's dest is the ScenarioConfig field it sets.
     return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
                            if getattr(args, f.name, None) is not None})
@@ -78,14 +82,8 @@ def _write_csv(path: Path, header_lines, columns, rows) -> None:
     for row in rows:
         if any(isinstance(v, float) and not math.isfinite(v) for v in row):
             raise agents.NumericalError(f"{path}: non-finite result in {tuple(row)!r}")
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n", newline="")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -177,8 +175,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _read_summary(path: Path, columns: tuple) -> dict | None:
-    """The data row of a summary CSV, which must hold ``columns``; None if there is no file."""
+def _read_summary(path: Path, columns: dict) -> dict | None:
+    """The values of a summary CSV's data row, one per name in ``columns``,
+    parsed with the type it maps to; None if there is no file."""
     if not path.exists():
         return None
     with open(path) as fh:
@@ -186,32 +185,40 @@ def _read_summary(path: Path, columns: tuple) -> dict | None:
     if len(lines) < 2:
         raise ValueError(f"{path}: no data row under the header")
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    missing = [c for c in columns if c not in row]
-    if missing:
-        raise ValueError(f"{path}: no {', '.join(missing)} column")
-    return row
+    values = {}
+    for column, kind in columns.items():
+        if column not in row:
+            raise ValueError(f"{path}: no {column} column")
+        try:
+            values[column] = kind(row[column])
+        except ValueError:
+            raise ValueError(f"{path}: {column} {row[column]!r} does not parse "
+                             f"as {kind.__name__}") from None
+    return values
 
 
 def cmd_report(args) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"--dir {directory}: not a directory")
     rows = []
     incomplete = False
     for name in PRESETS:
         sim_path = directory / f"{name}_simopt_summary.csv"
-        sim = _read_summary(sim_path, ("z_star", "mean_cleanings", "mean_total_cost"))
+        sim = _read_summary(sim_path, {"z_star": int, "mean_cleanings": float,
+                                       "mean_total_cost": float})
         ev = _read_summary(directory / f"{name}_eval_summary.csv",
-                           ("mean_cleanings", "mean_total_cost"))
+                           {"mean_cleanings": float, "mean_total_cost": float})
         if sim is None or ev is None:
             rows.append((name, "", "", "", "", "", "", "incomplete"))
             incomplete = True
             continue
-        a = float(sim["mean_total_cost"])
-        b = float(ev["mean_total_cost"])
+        a, b = sim["mean_total_cost"], ev["mean_total_cost"]
         if a == 0.0:
             raise ValueError(f"{sim_path}: mean_total_cost is 0, so no saving is defined")
         saving = (a - b) / a
-        rows.append((name, int(sim["z_star"]), float(sim["mean_cleanings"]), a,
-                     float(ev["mean_cleanings"]), b, saving, "ok"))
+        rows.append((name, sim["z_star"], sim["mean_cleanings"], a,
+                     ev["mean_cleanings"], b, saving, "ok"))
     out = _out_dir(args)
     _write_csv(out / "report.csv",
                [f"# source_dir={directory}"],
@@ -219,7 +226,7 @@ def cmd_report(args) -> int:
                 "rl_mean_cleanings", "rl_mean_cost", "cost_saving", "status"],
                rows)
     for row in rows:
-        print(",".join(_fmt(v) for v in row))
+        print(",".join(map(str, row)))
     return 2 if incomplete else 0
 
 
@@ -286,7 +293,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, OSError, ValueError, agents.NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even when the message quotes input that holds a line break.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

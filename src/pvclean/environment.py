@@ -24,8 +24,9 @@ from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
                       load_model, stack_weather)
 
 __all__ = [
-    "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "EpisodeDoneError",
-    "PRESETS", "preset", "load_config", "save_config", "CALIBRATED_PANEL_AREA",
+    "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "NumericalError",
+    "EpisodeDoneError", "PRESETS", "preset", "load_config", "save_config",
+    "CALIBRATED_PANEL_AREA",
     "FEATURE_SCALES", "observation_scales", "cleaning_interval", "day_arrays",
 ]
 
@@ -53,6 +54,10 @@ FEATURE_SCALES = {
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
+
+
+class NumericalError(RuntimeError):
+    """A non-finite result: an episode reward, update loss or cost."""
 
 
 def _is_integer(value) -> bool:
@@ -319,13 +324,14 @@ class CleaningEnv:
         else:
             reward = -self.cumulative_cost if self.done else np.zeros(self._shape)
         info = {
+            "day": t,
             "energy_loss_cost": energy_loss,
             "cleaning_cost_incurred": cleaning_cost_incurred,
             "efficiency": eff,
             "soiling": self.soiling,
             **dict(zip(VARIABLES, self._weather[t].T)),
         }
-        return StepResult(self._observation(), reward, self.done, {"day": t, **info})
+        return StepResult(self._observation(), reward, self.done, info)
 
     # -- observation -------------------------------------------------------
 
@@ -336,4 +342,5 @@ class CleaningEnv:
         obs[..., 0] = self.soiling
         obs[..., 1] = self.days_since_clean
         obs[..., 2:] = self._weather[t][..., :len(self._scales) - 2]
-        return obs / self._scales
+        obs /= self._scales
+        return obs

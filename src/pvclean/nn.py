@@ -13,6 +13,9 @@ import numpy as np
 __all__ = ["DenseNet", "Adam", "clip_global_norm", "save_net", "load_net"]
 
 _ACTIVATIONS = ("relu", "linear", "softmax")
+# Adam's moment decay rates and denominator guard: Kingma & Ba's defaults,
+# the values every agent trains with.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class DenseNet:
@@ -49,11 +52,7 @@ class DenseNet:
 
     def parameters(self):
         """Flat list of parameter arrays (weights and biases, interleaved)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def forward(self, x) -> np.ndarray:
         """Run the chain on ``x`` of shape (in_dim,) or (n, in_dim).
@@ -91,27 +90,18 @@ class DenseNet:
         g = np.asarray(grad_out, dtype=float)
         if g.ndim == 1:
             g = g.reshape(1, -1)
-        cache = self._cache
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            a_out = cache[i + 1]
-            a_in = cache[i]
-            act = self.activations[i]
+        grads = []
+        for w, act, a_in, a_out in reversed(list(zip(self.weights, self.activations,
+                                                     self._cache, self._cache[1:]))):
             if act == "relu":
                 dz = g * (a_out > 0.0)
             elif act == "linear":
                 dz = g
             else:  # softmax jacobian: dz = p * (g - sum(g * p))
                 dz = a_out * (g - (g * a_out).sum(axis=1, keepdims=True))
-            grads_w[i] = dz.T @ a_in
-            grads_b[i] = dz.sum(axis=0)
-            g = dz @ self.weights[i]
-        out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.append(gw)
-            out.append(gb)
-        return out
+            grads[:0] = (dz.T @ a_in, dz.sum(axis=0))
+            g = dz @ w
+        return grads
 
     def copy(self) -> "DenseNet":
         other = DenseNet(self.layer_dims, self.activations, seed=0)
@@ -123,13 +113,9 @@ class DenseNet:
 class Adam:
     """Adaptive-moment update with bias correction."""
 
-    def __init__(self, net: DenseNet, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: DenseNet, lr: float):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in net.parameters()]
         self.v = [np.zeros_like(p) for p in net.parameters()]
@@ -139,14 +125,14 @@ class Adam:
         if len(grads) != len(params):
             raise ValueError("gradient list does not match parameters")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - _BETA1 ** self.t
+        b2t = 1.0 - _BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)
 
 
 def clip_global_norm(grads, max_norm: float):

@@ -12,6 +12,10 @@ starts a segment there; each interval then sums its segments' leading
 entries.  It shares the per-day deposition, price and age arrays
 (:func:`pvclean.environment.day_arrays`) with ``CleaningEnv`` but
 accumulates soiling in closed form, so the two routes agree to rounding.
+
+Costs are linear in the panel area for fixed seeds, so the area that
+gives a target optimal cost (:func:`calibrate_panel_area`) is a closed
+form over one unit-area sweep.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .agents import NumericalError
-from .environment import ScenarioConfig, cleaning_interval, day_arrays
+from .environment import NumericalError, ScenarioConfig, cleaning_interval, day_arrays
 from .rng import replication_entropy
 from .weather import stack_weather
 
@@ -178,7 +181,7 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
     ``days`` takes the :func:`~pvclean.environment.day_arrays` of weather
     already drawn, and ``energy_loss`` the per-replication energy-loss
     costs of ``z`` when a sweep over several intervals has computed them.
-    Raises :class:`~pvclean.agents.NumericalError` if a cost is not finite.
+    Raises :class:`~pvclean.environment.NumericalError` if a cost is not finite.
     """
     z = cleaning_interval(z)
     if days is None:
@@ -229,26 +232,17 @@ def calibrate_panel_area(config: ScenarioConfig, target_cost: float,
                          replications: int = 30) -> float:
     """Panel area for which the optimal mean total cost equals ``target_cost``.
 
-    For fixed seeds the per-interval cost is linear in the area
-    (area * energy-loss-at-unit-area + cleaning cost), so the optimum cost
-    as a function of area is an increasing piecewise-linear lower envelope;
-    it is inverted by bisection.
+    For fixed seeds the per-interval cost is linear in the area, A * e_z +
+    c_z with e_z the energy-loss cost at unit area and c_z the cleaning
+    cost, so the optimum min_z (A * e_z + c_z) reaches the target exactly
+    when A >= (target - c_z) / e_z for every z: the area is the largest of
+    those bounds.  Raises ValueError unless that is a positive finite area,
+    as when the target is not above the cheapest interval's cleaning cost.
     """
-    base = replace(config, panel_area=1.0)
-    _, curve = optimize(base, z_min, z_max, replications)
-    e = np.array([c.mean_energy_loss_cost for c in curve])
-    c = np.array([c.mean_cleaning_cost for c in curve])
-
-    def best_cost(area: float) -> float:
-        return float(np.min(area * e + c))
-
-    lo, hi = 1e-6, 1.0
-    while best_cost(hi) < target_cost:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if best_cost(mid) < target_cost:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    _, curve = optimize(replace(config, panel_area=1.0), z_min, z_max, replications)
+    e, c = np.array([(ev.mean_energy_loss_cost, ev.mean_cleaning_cost) for ev in curve]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = float(np.max((target_cost - c) / e))
+    if not (np.isfinite(area) and area > 0.0):
+        raise ValueError(f"no panel area gives an optimal cost of {target_cost!r}")
+    return area

@@ -9,7 +9,7 @@ arrays, and scalar inputs give scalar or 0-d array results.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -51,7 +51,9 @@ class SoilingParams:
 
 
 def _finite_number(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    # An exact comparison: a JSON integer past the float range is not
+    # finite as a float, and math.isfinite would raise OverflowError on it.
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def daily_soiling(wind_speed, particulate_matter):

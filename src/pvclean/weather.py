@@ -174,24 +174,24 @@ def _trajectory(specs: list, months: np.ndarray, streams: list) -> np.ndarray:
     # consecutive inverse-transform months make one stretch.
     key = np.where(inverse[months - 1], 0, months)
     starts = np.flatnonzero(np.diff(key, prepend=-1))
+    # Inverse-transform days hold their uniforms until they are transformed.
     x = np.empty((len(streams), len(months)))
-    u = np.empty_like(x)  # the uniforms of the inverse-transform days, then their normals
     for start, stop in zip(starts, [*starts[1:], len(months)]):
         if key[start] == 0:
-            for row, stream in zip(u, streams):
+            for row, stream in zip(x, streams):
                 row[start:stop] = stream.uniforms(stop - start)
         else:
             x[:, start:stop] = sample_many(specs[key[start] - 1], streams, stop - start)
     # The uniforms of the days whose family is a function of a normal become
     # normals, in one ndtri call.
     normal = np.flatnonzero(np.array([spec.family in NORMAL_FAMILIES for spec in specs])[months - 1])
-    u[:, normal] = ndtri(u[:, normal])
+    x[:, normal] = ndtri(x[:, normal])
     for m in np.flatnonzero(inverse) + 1:
         days = np.flatnonzero(months == m)
         if days.size:
             spec = specs[m - 1]
             draw = from_normals if spec.family in NORMAL_FAMILIES else transform
-            x[:, days] = np.clip(draw(spec, u[:, days]), spec.clamp_lo, spec.clamp_hi)
+            x[:, days] = np.clip(draw(spec, x[:, days]), spec.clamp_lo, spec.clamp_hi)
     return x
 
 

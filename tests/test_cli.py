@@ -390,6 +390,28 @@ def test_bad_summary_is_a_report_error(tmp_path, capsys, simopt_summary, names):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("simopt_summary, column", [
+    (SIMOPT_SUMMARY.format(cost="abc"), "mean_total_cost"),
+    ("case,z_star,mean_cleanings,mean_total_cost\nS1exp,x,10.0,24.8\n", "z_star"),
+], ids=["text-cost", "text-z-star"])
+def test_unparsable_summary_value_is_a_report_error(tmp_path, capsys, simopt_summary, column):
+    path = tmp_path / "S1exp_simopt_summary.csv"
+    path.write_text(simopt_summary)
+    (tmp_path / "S1exp_eval_summary.csv").write_text(EVAL_SUMMARY)
+    rc = run(["report", "--dir", tmp_path, "--out", tmp_path])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert str(path) in line and column in line
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_report_dir_that_is_not_a_directory_is_an_error(tmp_path, capsys):
+    rc = run(["report", "--dir", tmp_path / "missing", "--out", tmp_path])
+    assert rc == 1
+    assert str(tmp_path / "missing") in one_error_line(capsys)
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_horizon_beyond_bound_is_an_error(tmp_path, capsys, monkeypatch):
     def no_weather(*args, **kwargs):
         raise AssertionError("weather drawn")

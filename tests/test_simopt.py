@@ -1,8 +1,13 @@
 """Sim-Opt: interval evaluation vs an independent slow oracle and the
 all-replications-at-once closed form."""
 
+import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvclean import simopt
+import pvclean
+from pvclean import agents, environment, simopt
 from pvclean.agents import NumericalError
 from pvclean import soiling as phys
 from pvclean.environment import ScenarioConfig, day_arrays
@@ -259,3 +265,44 @@ def test_calibrate_panel_area_inverts_target():
                            horizon_years=1, seed=0, panel_area=area)
     _, curve = optimize(tuned, z_max=60, replications=5)
     assert min(e.mean_total_cost for e in curve) == pytest.approx(target, rel=1e-6)
+
+
+# The cleaning cost of the longest interval of a z <= 60 sweep of CFG, the
+# cheapest of the sweep: any optimal cost lies above it.
+CHEAPEST_CLEANING = (-(-CFG.n_days // 60) - 1) * CFG.cleaning_cost
+
+
+@settings(max_examples=10, deadline=None)
+@given(target=st.floats(CHEAPEST_CLEANING, 1e4, exclude_min=True))
+def test_calibrated_area_gives_the_target_cost(target):
+    area = calibrate_panel_area(CFG, target, z_max=60, replications=5)
+    assert area > 0.0
+    _, curve = optimize(replace(CFG, panel_area=area), z_max=60, replications=5)
+    assert min(e.mean_total_cost for e in curve) == pytest.approx(target, rel=1e-12, abs=0)
+
+
+def test_calibrated_area_matches_the_bisection():
+    # The value 200 bisection steps over the optimum's envelope gave.
+    bisected = 1.0275086449715554
+    area = calibrate_panel_area(CFG, 1.5, z_max=60, replications=5)
+    assert abs(area - bisected) <= 2 * math.ulp(bisected)
+
+
+@pytest.mark.parametrize("target", [0.001, -1.0, math.nan, math.inf, -math.inf])
+def test_unreachable_calibration_target_is_an_error(target):
+    with pytest.raises(ValueError, match="no panel area gives an optimal cost"):
+        calibrate_panel_area(CFG, target, z_max=60, replications=5)
+
+
+def test_simopt_imports_no_learning_code():
+    code = ("import sys, pvclean.simopt; "
+            "print(sorted(m for m in ('pvclean.agents', 'pvclean.nn') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numerical_error_is_one_class():
+    assert agents.NumericalError is environment.NumericalError
