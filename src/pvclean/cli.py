@@ -2,7 +2,11 @@
 
 Subcommands: ``simopt``, ``train``, ``eval``, ``report``, ``trace``.  Every
 command is deterministic given its flags; each output CSV starts with
-``#``-prefixed comment lines recording the full configuration and seed.
+``#``-prefixed comment lines recording the case name, ``tariff``,
+``cleaning_cost``, ``panel_area``, ``horizon_years``, ``start_month``,
+``seed``, ``reward_mode`` and ``normalization_mode``, plus the command's
+own settings.  They do not record ``include_humidity``,
+``weather_model_path`` or the ``soiling`` physics.
 Scenario may be a named preset (S1exp..S5uae) or a JSON config file path.
 The default output directory comes from ``--out`` or the
 ``PVCLEAN_OUT_DIR`` environment variable.
@@ -43,6 +47,12 @@ def _scenario(args) -> ScenarioConfig:
         cfg = preset(name)
     elif Path(name).exists():
         cfg = load_config(name)
+        # Load the weather model now, so that its errors name this file too.
+        if cfg.weather_model_path:
+            try:
+                cfg.weather_model()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{exc} (the weather_model_path of {name})") from None
     else:
         raise ConfigError(f"{name!r} is neither a preset nor a config file")
     # The name labels output files and is a field of their CSV rows.
@@ -132,7 +142,11 @@ def _load_policy(spec: str, cfg: ScenarioConfig):
         except ValueError:
             raise ValueError(f"{spec!r}: interval:Z needs an integer Z") from None
         return agents.FixedIntervalPolicy(z, cfg)
-    return agents.GreedyPolicy(load_net(spec))
+    net = load_net(spec)
+    if (net.layer_dims[0], net.layer_dims[-1]) != (cfg.obs_dim, 2):
+        raise ValueError(f"{spec}: dims {list(net.layer_dims)}, but this scenario needs "
+                         f"{cfg.obs_dim} inputs and 2 outputs")
+    return agents.GreedyPolicy(net)
 
 
 def cmd_eval(args) -> int:
@@ -293,8 +307,10 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, OSError, ValueError, agents.NumericalError) as exc:
+        # A non-finite result comes from the scenario's numbers, so it names the scenario.
+        case = f"{args.case}: " if isinstance(exc, agents.NumericalError) and "case" in args else ""
         # One line, even when the message quotes input that holds a line break.
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        print("error:", case + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

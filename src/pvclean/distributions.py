@@ -10,21 +10,24 @@ weather table shipped with the package:
 * ``gamma(loc, scale, shape)`` — loc + scale * G(shape), Marsaglia-Tsang
 * ``beta(min, max, a, b)`` — min + (max-min) * B(a, b); Cheng BB when
   min(a, b) > 1, Johnk otherwise (fixed choice)
-* ``johnsonsb(loc, range, d, x)`` — loc + range / (1 + exp(-(Z - d)/x))
+* ``johnsonsb(loc, range, d, xi)`` — loc + range / (1 + exp(-(Z - d)/xi))
 * ``loglogistic(loc, shape, scale)`` — loc + scale * (U/(1-U)) ** (1/shape)
 
-Every normal Z is :func:`ndtri` of one uniform: an in-tree port of cephes'
-``ndtri``, equal bit for bit to ``scipy.special.ndtri``, so drawing needs
-numpy alone.  The inverse-transform families consume exactly one uniform
-per draw (:func:`transform` maps uniforms to draws).  Gamma and beta are
-rejection samplers and consume a variable (but deterministic, given the
-stream state) number of uniforms; every weather variable owns its own
-stream, so this never perturbs the other variables' draws.
+One table (``_FAMILIES``) holds each family's parameter names, the ones
+that must be positive, and how it draws.  Every normal Z is :func:`ndtri`
+of one uniform: an in-tree port of cephes' ``ndtri``, equal bit for bit to
+``scipy.special.ndtri``, so drawing needs numpy alone.  The
+inverse-transform families consume exactly one uniform per draw.  Gamma
+and beta are rejection samplers and consume a variable (but
+deterministic, given the stream state) number of uniforms; every weather
+variable owns its own stream, so this never perturbs the other
+variables' draws.
 :func:`sample_many` draws from one stream, or from a list of streams with
 one row each.  A rejection sampler peeks at a block of every stream,
 decides every attempt of all blocks in one numpy pass, computes the
-accepted draws, and leaves each stream where drawing one uniform at a
-time would.
+accepted draws, and leaves each stream where drawing one uniform at a time
+would.  :func:`sample_days` draws a run of days whose spec changes from
+day to day, such as a month-indexed weather variable.
 
 Exactness rule: numpy's vectorized ``exp``, ``log`` and ``**`` may differ
 from ``math``'s (the C library's) by an ulp.  Wherever the per-attempt
@@ -48,25 +51,23 @@ import numpy as np
 
 from .rng import RandomStream
 
-__all__ = ["DistributionSpec", "ParameterError", "FAMILY_ARITY", "INVERSE_FAMILIES",
-           "NORMAL_FAMILIES", "ndtri", "transform", "from_normals", "sample_many"]
+__all__ = ["DistributionSpec", "ParameterError", "ndtri", "sample_many", "sample_days"]
 
-FAMILY_ARITY = {
-    "normal": 2,
-    "lognormal": 3,
-    "triangular": 3,
-    "weibull": 3,
-    "gamma": 3,
-    "loglogistic": 3,
-    "beta": 4,
-    "johnsonsb": 4,
+# How a family draws one value: from ndtri of one uniform, from one uniform,
+# or by a rejection sampler that takes a variable number of uniforms.
+_NORMAL, _UNIFORM, _REJECTION = range(3)
+# Each family's parameter names in file order, the names that must be > 0,
+# and its draw kind.
+_FAMILIES = {
+    "normal": (("mu", "sigma"), ("sigma",), _NORMAL),
+    "lognormal": (("loc", "mu", "sigma"), ("sigma",), _NORMAL),
+    "triangular": (("min", "max", "mode"), (), _UNIFORM),
+    "weibull": (("loc", "shape", "scale"), ("shape", "scale"), _UNIFORM),
+    "gamma": (("loc", "scale", "shape"), ("scale", "shape"), _REJECTION),
+    "loglogistic": (("loc", "shape", "scale"), ("shape", "scale"), _UNIFORM),
+    "beta": (("min", "max", "a", "b"), ("a", "b"), _REJECTION),
+    "johnsonsb": (("loc", "range", "d", "xi"), ("range", "xi"), _NORMAL),
 }
-
-# Families drawn by an inverse transform of exactly one uniform per value.
-INVERSE_FAMILIES = frozenset(
-    {"normal", "lognormal", "triangular", "weibull", "johnsonsb", "loglogistic"})
-# The inverse-transform families whose draw is a function of ndtri(u).
-NORMAL_FAMILIES = frozenset({"normal", "lognormal", "johnsonsb"})
 
 _LOG4 = math.log(4.0)
 _LOG5 = math.log(5.0)
@@ -97,35 +98,20 @@ class DistributionSpec:
 
     def _validate(self):
         fam, p = self.family, self.params
-        if fam not in FAMILY_ARITY:
+        if fam not in _FAMILIES:
             raise ParameterError(f"unknown family {fam!r}")
-        if len(p) != FAMILY_ARITY[fam]:
-            raise ParameterError(
-                f"{fam} takes {FAMILY_ARITY[fam]} parameters, got {len(p)}")
+        names, positive, _ = _FAMILIES[fam]
+        if len(p) != len(names):
+            raise ParameterError(f"{fam} takes {len(names)} parameters, got {len(p)}")
         if not all(math.isfinite(v) for v in p):
             raise ParameterError(f"{fam} parameters must be finite: {p}")
-        if fam == "normal" and p[1] <= 0:
-            raise ParameterError(f"normal sigma must be > 0, got {p[1]}")
-        if fam == "lognormal" and p[2] <= 0:
-            raise ParameterError(f"lognormal sigma must be > 0, got {p[2]}")
-        if fam == "triangular":
-            lo, hi, mode = p
-            if not (lo < hi and lo <= mode <= hi):
-                raise ParameterError(f"triangular needs min < max, min <= mode <= max: {p}")
-        if fam == "weibull" and (p[1] <= 0 or p[2] <= 0):
-            raise ParameterError(f"weibull shape and scale must be > 0: {p}")
-        if fam == "gamma" and (p[1] <= 0 or p[2] <= 0):
-            raise ParameterError(f"gamma scale and shape must be > 0: {p}")
-        if fam == "loglogistic" and (p[1] <= 0 or p[2] <= 0):
-            raise ParameterError(f"loglogistic shape and scale must be > 0: {p}")
-        if fam == "beta":
-            lo, hi, a, b = p
-            if lo >= hi:
-                raise ParameterError(f"beta needs min < max: {p}")
-            if a <= 0 or b <= 0:
-                raise ParameterError(f"beta shapes must be > 0: {p}")
-        if fam == "johnsonsb" and (p[1] <= 0 or p[3] <= 0):
-            raise ParameterError(f"johnsonsb range and shape-2 must be > 0: {p}")
+        bad = [name for name, v in zip(names, p) if name in positive and not v > 0]
+        if bad:
+            raise ParameterError(f"{fam} {' and '.join(bad)} must be > 0: {p}")
+        if fam == "triangular" and not (p[0] < p[1] and p[0] <= p[2] <= p[1]):
+            raise ParameterError(f"triangular needs min < max, min <= mode <= max: {p}")
+        if fam == "beta" and not p[0] < p[1]:
+            raise ParameterError(f"beta needs min < max: {p}")
         if not self.clamp_lo < self.clamp_hi:
             raise ParameterError(
                 f"clamp_lo must be < clamp_hi: [{self.clamp_lo}, {self.clamp_hi}]")
@@ -539,39 +525,29 @@ def _cheng_variates(a: float, b: float, streams: list, n: int) -> np.ndarray:
     return _first_accepted(streams, n, n + n // 3 + 2, attempt)
 
 
-def transform(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Unclamped draws of an inverse-transform family, one per uniform in ``u``."""
-    fam, p = spec.family, spec.params
-    if fam in NORMAL_FAMILIES:
-        return from_normals(spec, ndtri(u))
-    if fam == "triangular":
-        lo, hi, mode = p
-        c = (mode - lo) / (hi - lo)
-        left = lo + np.sqrt(u * c) * (hi - lo)
-        right = hi - np.sqrt((1.0 - u) * (1.0 - c)) * (hi - lo)
-        return np.where(u < c, left, right)
-    if fam == "weibull":
-        loc, shape, scale = p
-        return loc + scale * (-np.log(np.maximum(u, _TINY))) ** (1.0 / shape)
-    if fam == "loglogistic":
-        loc, shape, scale = p
-        return loc + scale * (u / (1.0 - u)) ** (1.0 / shape)
-    raise ParameterError(f"{fam} is not an inverse-transform family")
-
-
-def from_normals(spec: DistributionSpec, z: np.ndarray) -> np.ndarray:
-    """:func:`transform` of a family in ``NORMAL_FAMILIES``, given ``z = ndtri(u)``."""
+def _inverse(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """Unclamped draws of an inverse-transform family, one per uniform u:
+    ``x`` holds ``ndtri(u)`` for a family drawn from a normal, else u."""
     fam, p = spec.family, spec.params
     if fam == "normal":
         mu, sigma = p
-        return mu + sigma * z
+        return mu + sigma * x
     if fam == "lognormal":
         loc, mu, sigma = p
-        return loc + np.exp(mu + sigma * z)
+        return loc + np.exp(mu + sigma * x)
     if fam == "johnsonsb":
         loc, rng, d, xi = p
-        return loc + rng / (1.0 + np.exp(-(z - d) / xi))
-    raise ParameterError(f"{fam} is not a function of one normal")
+        return loc + rng / (1.0 + np.exp(-(x - d) / xi))
+    if fam == "triangular":
+        lo, hi, mode = p
+        c = (mode - lo) / (hi - lo)
+        left = lo + np.sqrt(x * c) * (hi - lo)
+        right = hi - np.sqrt((1.0 - x) * (1.0 - c)) * (hi - lo)
+        return np.where(x < c, left, right)
+    loc, shape, scale = p
+    if fam == "weibull":
+        return loc + scale * (-np.log(np.maximum(x, _TINY))) ** (1.0 / shape)
+    return loc + scale * (x / (1.0 - x)) ** (1.0 / shape)  # loglogistic
 
 
 def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> np.ndarray:
@@ -584,9 +560,10 @@ def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> 
     """
     one = isinstance(streams, RandomStream)
     rows, n = [streams] if one else list(streams), int(n)
-    p = spec.params
-    if spec.family in INVERSE_FAMILIES:
-        x = transform(spec, np.array([s.uniforms(n) for s in rows]).reshape(len(rows), n))
+    p, kind = spec.params, _FAMILIES[spec.family][2]
+    if kind != _REJECTION:
+        u = np.array([s.uniforms(n) for s in rows]).reshape(len(rows), n)
+        x = _inverse(spec, ndtri(u) if kind == _NORMAL else u)
     elif spec.family == "gamma":
         x = p[0] + p[1] * _gamma_variates(p[2], rows, n)
     else:
@@ -596,3 +573,38 @@ def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> 
     if clamp:
         x = np.clip(x, spec.clamp_lo, spec.clamp_hi)
     return x[0] if one else x
+
+
+def sample_days(specs: list, index, streams: list) -> np.ndarray:
+    """Clamped draws for a run of days, day i from ``specs[index[i]]``, one row per stream.
+
+    Row r is draw-for-draw identical to drawing each day in order, one value
+    at a time, from ``streams[r]``: the same values, and the stream left with
+    the same ``counter`` and the same next uniform.  Each maximal stretch of
+    inverse-transform days takes one ``uniforms`` call per stream, one
+    :func:`ndtri` call maps the uniforms of every day drawn from a normal,
+    and each spec's transform runs once over all rows; each stretch of days
+    on one rejection spec takes one :func:`sample_many` call over all streams.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    kinds = np.array([_FAMILIES[spec.family][2] for spec in specs])
+    rejection = kinds == _REJECTION
+    # Stretch key: -1 on inverse-transform days, the spec's index on the
+    # others, so consecutive inverse-transform days make one stretch.
+    key = np.where(rejection[index], index, -1)
+    starts = np.flatnonzero(np.diff(key, prepend=-2))
+    # Inverse-transform days hold their uniforms until they are transformed.
+    x = np.empty((len(streams), len(index)))
+    for start, stop in zip(starts, [*starts[1:], len(index)]):
+        if key[start] < 0:
+            for row, stream in zip(x, streams):
+                row[start:stop] = stream.uniforms(stop - start)
+        else:
+            x[:, start:stop] = sample_many(specs[key[start]], streams, stop - start)
+    normal = np.flatnonzero((kinds == _NORMAL)[index])
+    x[:, normal] = ndtri(x[:, normal])
+    for i in np.flatnonzero(~rejection):
+        spec = specs[i]
+        days = np.flatnonzero(index == i)
+        x[:, days] = np.clip(_inverse(spec, x[:, days]), spec.clamp_lo, spec.clamp_hi)
+    return x

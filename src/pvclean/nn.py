@@ -8,6 +8,8 @@ format round out the module.  Nothing here is a general autodiff system.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["DenseNet", "Adam", "clip_global_norm", "save_net", "load_net"]
@@ -165,7 +167,10 @@ def load_net(path) -> DenseNet:
     Raises ValueError unless the file holds exactly one complete network.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a pvclean-densenet v1 file")
     header = [ln.split() for ln in lines[1:3]]
@@ -188,6 +193,8 @@ def load_net(path) -> DenseNet:
             raise ValueError(f"{path}: line {idx + 1}: {exc}") from exc
         if len(values) != n:
             raise ValueError(f"{path}: line {idx + 1}: {len(values)} values, expected {n}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {idx + 1}: non-finite value")
         return values
 
     weights, biases = [], []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Real
 
 import numpy as np
@@ -27,7 +28,10 @@ class SoilingParams:
     the daily soiling is scaled by min(1, k / RH) with RH in percent, so high
     humidity nearly nullifies removal.  ``cubic`` are the coefficients
     (s^3, s^2, s^1) of the efficiency polynomial; its constant term is
-    ``eff_max``, the clean-panel efficiency.
+    ``eff_max``, the clean-panel efficiency.  The cubic must keep
+    efficiency at or below ``eff_max`` for every soiling level s >= 0, so
+    that soiling never earns energy: c3 s^2 + c2 s + c1 <= 0 for s > 0,
+    which holds iff c1 <= 0, c3 <= 0, and c2 <= 0 or c2^2 <= 4 c3 c1.
     """
 
     humidity_k: float = 0.06
@@ -42,6 +46,11 @@ class SoilingParams:
         if not (isinstance(self.cubic, tuple) and len(self.cubic) == 3
                 and all(map(_finite_number, self.cubic))):
             raise ValueError(f"cubic must be a tuple of three finite numbers: {self.cubic!r}")
+        # Exact rationals, so that squares and products of large
+        # coefficients neither overflow nor round.
+        c3, c2, c1 = map(Fraction, self.cubic)
+        if not (c1 <= 0 and c3 <= 0 and (c2 <= 0 or c2 * c2 <= 4 * c3 * c1)):
+            raise ValueError(f"cubic must keep efficiency <= eff_max: {self.cubic!r}")
         if not (_finite_number(self.annual_degradation) and 0.0 <= self.annual_degradation < 1.0):
             raise ValueError(f"annual_degradation must be in [0, 1): {self.annual_degradation!r}")
         if not (_finite_number(self.beta_residue) and self.beta_residue > 0.0):

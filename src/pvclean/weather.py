@@ -20,8 +20,7 @@ from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import (INVERSE_FAMILIES, NORMAL_FAMILIES, DistributionSpec, from_normals,
-                            ndtri, sample_many, transform)
+from .distributions import DistributionSpec, sample_days
 from .rng import RandomStream
 
 __all__ = [
@@ -55,16 +54,15 @@ class MonthlyWeatherModel:
     """Immutable 12-month x 5-variable grid of distribution specs."""
 
     def __init__(self, table: dict):
-        for month in range(1, 13):
-            for var in VARIABLES:
-                if (month, var) not in table:
-                    raise ModelFormatError(f"missing cell month={month} variable={var}")
-                spec = table[(month, var)]
-                if not isinstance(spec, DistributionSpec):
-                    raise ModelFormatError(f"cell ({month}, {var}) is not a DistributionSpec")
-        extra = set(table) - {(m, v) for m in range(1, 13) for v in VARIABLES}
+        cells = [(month, var) for month in range(1, 13) for var in VARIABLES]
+        extra = set(table) - set(cells)
         if extra:
             raise ModelFormatError(f"unexpected cells: {sorted(extra)}")
+        for month, var in cells:
+            if (month, var) not in table:
+                raise ModelFormatError(f"missing cell month={month} variable={var}")
+            if not isinstance(table[(month, var)], DistributionSpec):
+                raise ModelFormatError(f"cell ({month}, {var}) is not a DistributionSpec")
         self._table = dict(table)
 
     def spec(self, month: int, variable: str) -> DistributionSpec:
@@ -105,22 +103,24 @@ def load_model(path) -> MonthlyWeatherModel:
         if reader.fieldnames is None or not set(_COLUMNS).issubset(reader.fieldnames):
             raise ModelFormatError(f"{path}: header must contain {sorted(_COLUMNS)}")
         for lineno, row in enumerate(rows, start=2):
+            missing = [column for column, value in row.items() if value is None]
+            if missing:
+                raise ModelFormatError(f"{path}: line {lineno}: missing {', '.join(missing)}")
             try:
                 month = int(row["month"])
                 var = row["variable"]
                 params = tuple(float(p) for p in row["params"].split(";"))
                 spec = DistributionSpec(row["family"], params,
                                         float(row["clamp_lo"]), float(row["clamp_hi"]))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ModelFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not 1 <= month <= 12:
-                raise ModelFormatError(f"{path}: line {lineno}: month {month} out of range")
-            if var not in VARIABLES:
-                raise ModelFormatError(f"{path}: line {lineno}: unknown variable {var!r}")
             if (month, var) in table:
                 raise ModelFormatError(f"{path}: line {lineno}: duplicate cell ({month}, {var})")
             table[(month, var)] = spec
-    return MonthlyWeatherModel(table)
+    try:
+        return MonthlyWeatherModel(table)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def make_streams(seed) -> dict:
@@ -141,58 +141,18 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     draw-for-draw identical to drawing each day in order, one value at a
     time, from that day's month with ``streams[r]``: the same values, and
     every stream left with the same ``counter`` and the same next uniform.
-    The replications are drawn month-major: each maximal stretch of
-    inverse-transform days takes one ``uniforms`` call per stream, one
-    :func:`~pvclean.distributions.ndtri` call maps the uniforms of every day
-    whose family is a function of a normal, and each month's transform runs
-    once over all rows; each stretch of a rejection-family month takes one
-    :func:`~pvclean.distributions.sample_many` call over all streams.
-
-    Exactness rule: numpy's vectorized ``exp``, ``log`` and ``**`` may
-    differ from ``math``'s (the C library's) by an ulp.  Every value is the
-    one the per-day path computes: the inverse transforms are numpy's, and
-    wherever the rejection samplers' per-attempt code calls the C library,
-    numpy computes the value through the C library too
-    (``distributions._c``), both to decide which attempts are accepted and
-    for the accepted draws.
+    The draws are :func:`~pvclean.distributions.sample_days` over the
+    twelve months' specs of each variable.
     """
     if not (isinstance(n_days, (int, np.integer)) and not isinstance(n_days, bool)
             and n_days >= 0):
         raise ValueError(f"n_days must be an integer >= 0, got {n_days!r}")
     if not streams:
         raise ValueError("need at least one replication")
-    months = month_of_day(np.arange(n_days), start_month)
-    return {var: _trajectory([model.spec(m, var) for m in range(1, 13)], months,
+    index = month_of_day(np.arange(n_days), start_month) - 1
+    return {var: sample_days([model.spec(m, var) for m in range(1, 13)], index,
                              [s[var] for s in streams])
             for var in VARIABLES}
-
-
-def _trajectory(specs: list, months: np.ndarray, streams: list) -> np.ndarray:
-    """One variable's clamped draws for the days of ``months`` (1..12 each), one row per stream."""
-    inverse = np.array([spec.family in INVERSE_FAMILIES for spec in specs])
-    # Stretch key: 0 on inverse-transform days, the month on the others, so
-    # consecutive inverse-transform months make one stretch.
-    key = np.where(inverse[months - 1], 0, months)
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    # Inverse-transform days hold their uniforms until they are transformed.
-    x = np.empty((len(streams), len(months)))
-    for start, stop in zip(starts, [*starts[1:], len(months)]):
-        if key[start] == 0:
-            for row, stream in zip(x, streams):
-                row[start:stop] = stream.uniforms(stop - start)
-        else:
-            x[:, start:stop] = sample_many(specs[key[start] - 1], streams, stop - start)
-    # The uniforms of the days whose family is a function of a normal become
-    # normals, in one ndtri call.
-    normal = np.flatnonzero(np.array([spec.family in NORMAL_FAMILIES for spec in specs])[months - 1])
-    x[:, normal] = ndtri(x[:, normal])
-    for m in np.flatnonzero(inverse) + 1:
-        days = np.flatnonzero(months == m)
-        if days.size:
-            spec = specs[m - 1]
-            draw = from_normals if spec.family in NORMAL_FAMILIES else transform
-            x[:, days] = np.clip(draw(spec, x[:, days]), spec.clamp_lo, spec.clamp_hi)
-    return x
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,

@@ -8,7 +8,9 @@ The oracles here draw one uniform at a time, take each normal from
 ``scipy.special.ndtri`` and run each attempt as scalar ``math`` code, so
 the tests that compare against them stay independent of the block samplers
 and of the kernel.  ``ndtri1`` is the kernel's scalar form, the same
-operations on Python floats.
+operations on Python floats.  ``spec_is_invalid`` writes out
+``DistributionSpec``'s parameter rules family by family, independently of
+the family table that the class reads them from.
 """
 
 import math
@@ -155,3 +157,36 @@ def sample_one(spec, stream) -> float:
     """One clamped draw of ``spec``; a gamma and a beta go through the oracles."""
     draw = one_by_one if spec.family in ("gamma", "beta") else sample_many
     return float(draw(spec, stream, 1)[0])
+
+
+ARITY = {"normal": 2, "lognormal": 3, "triangular": 3, "weibull": 3, "gamma": 3,
+          "loglogistic": 3, "beta": 4, "johnsonsb": 4}
+
+
+def spec_is_invalid(family: str, params: tuple, clamp_lo: float, clamp_hi: float) -> bool:
+    """Whether ``DistributionSpec(family, params, clamp_lo, clamp_hi)`` must
+    raise ``ParameterError``, one family's rules at a time."""
+    fam, p = family.lower(), tuple(float(v) for v in params)
+    if fam not in ARITY or len(p) != ARITY[fam] or not all(math.isfinite(v) for v in p):
+        return True
+    if fam == "normal" and p[1] <= 0:
+        return True
+    if fam == "lognormal" and p[2] <= 0:
+        return True
+    if fam == "triangular":
+        lo, hi, mode = p
+        if not (lo < hi and lo <= mode <= hi):
+            return True
+    if fam == "weibull" and (p[1] <= 0 or p[2] <= 0):
+        return True
+    if fam == "gamma" and (p[1] <= 0 or p[2] <= 0):
+        return True
+    if fam == "loglogistic" and (p[1] <= 0 or p[2] <= 0):
+        return True
+    if fam == "beta":
+        lo, hi, a, b = p
+        if lo >= hi or a <= 0 or b <= 0:
+            return True
+    if fam == "johnsonsb" and (p[1] <= 0 or p[3] <= 0):
+        return True
+    return not clamp_lo < clamp_hi

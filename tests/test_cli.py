@@ -325,6 +325,30 @@ def test_weather_model_path_naming_a_directory_is_an_error(tmp_path, capsys):
     assert str(tmp_path) in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("dims, acts", [
+    ([6, 8, 1], ["relu", "linear"]),        # a critic
+    ([7, 8, 2], ["relu", "softmax"]),       # input wider than S1exp's 6 observations
+    ([6, 8, 3], ["relu", "softmax"]),       # a 3-way head
+], ids=["one-output", "input-width", "three-way-head"])
+def test_policy_of_the_wrong_shape_is_an_error(tmp_path, capsys, dims, acts):
+    policy = tmp_path / "policy.txt"
+    save_net(DenseNet(dims, acts, seed=0), policy)
+    rc = run(["eval", policy, "--case", "S1exp", *ARGS, "--episodes", "1", "--out", tmp_path])
+    assert rc == 1
+    assert one_error_line(capsys).startswith(f"error: {policy}: dims {dims}")
+
+
+def test_weather_model_error_names_the_config_and_the_model(tmp_path, capsys):
+    model = tmp_path / "model.csv"
+    model.write_text("month,variable,family,params,clamp_lo,clamp_hi\n")
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
+    rc = run(["eval", "interval:20", "--case", path, "--episodes", "1", "--out", tmp_path])
+    assert rc == 1
+    assert one_error_line(capsys) == (f"error: {model}: missing cell month=1 "
+                                      f"variable=temperature (the weather_model_path of {path})")
+
+
 def test_out_naming_a_file_is_an_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")

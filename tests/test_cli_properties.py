@@ -1,11 +1,21 @@
 """Property harness for the CLI's input handling.
 
-A valid 1-year scenario config gets one mutation: a field swapped for
-another JSON type or for a number it must reject or survive, the file
-truncated, one byte made invalid UTF-8, or the file replaced by a
-directory.  ``pvclean eval`` on it must either exit 0 with a finite
-summary CSV or exit 1 with exactly one ``error:`` line; no exception may
-escape ``cli.main``.
+A valid input file gets one mutation, and ``pvclean eval`` on it must
+either exit 0 with a finite summary CSV or exit 1 with exactly one
+``error:`` line that names the mutated file; no exception may escape
+``cli.main``.  Three inputs are mutated:
+
+* a 1-year scenario config: a field swapped for another JSON type or for a
+  number it must reject or survive;
+* the weather-model CSV a config points to: a row cut short, deleted or
+  duplicated, a parameter made text, NaN, inf, 1e400 or empty, an unknown
+  family, the wrong arity, or clamps out of order;
+* a policy file: a weight made nan, inf or text, a line dropped or
+  duplicated, the dims or activations line altered, or the file replaced
+  by a well-formed net of the wrong input or output width.
+
+Each file may also be truncated at a random byte, get one 0xff byte, or
+be replaced by a directory.
 """
 
 import contextlib
@@ -16,11 +26,15 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvclean import cli
 from pvclean.environment import preset, save_config
+from pvclean.nn import DenseNet, save_net
+from pvclean.soiling import SoilingParams
+from pvclean.weather import default_model, save_model
 
 VALID = preset("S1exp", horizon_years=1)
 FIELDS = [(k,) for k in asdict(VALID)] + [("soiling", k) for k in asdict(VALID.soiling)]
@@ -42,59 +56,239 @@ VALUES = st.one_of(
     st.floats(max_value=-1e-300, allow_infinity=False),
 )
 
-MUTATIONS = st.one_of(
-    st.tuples(st.just("field"), st.sampled_from(FIELDS), VALUES),
+# Mutations that apply to any file.
+ANY_FILE = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("byte"), st.integers(0, 10**6)),
     st.tuples(st.just("directory")),
 )
 
+CONFIG_MUTATIONS = st.tuples(st.just("field"), st.sampled_from(FIELDS), VALUES) | ANY_FILE
 
-def mutate(path: Path, mutation) -> None:
+# A model file has a header line and 60 rows; the params field is the fourth.
+ROW = st.integers(0, 60)
+MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), ROW, st.integers(0, 5), st.integers(1, 6)),
+    st.tuples(st.just("delete"), ROW),
+    st.tuples(st.just("duplicate"), ROW),
+    st.tuples(st.just("param"), ROW, st.integers(0, 3),
+              st.sampled_from(["abc", "nan", "NaN", "inf", "-inf", "1e400", ""])),
+    st.tuples(st.just("family"), ROW, st.sampled_from(["cauchy", "", "normal", "beta"])),
+    st.tuples(st.just("arity"), ROW, st.sampled_from([-1, 1])),
+    st.tuples(st.just("clamps"), ROW, st.booleans()),
+    ANY_FILE,
+)
+
+# The policy file: a header of three lines, then weight and bias rows.
+POLICY = DenseNet([VALID.obs_dim, 8, 2], ["relu", "softmax"], seed=0)
+POLICY_LINES = 3 + 8 + 1 + 2 + 1
+LINE = st.integers(0, POLICY_LINES - 1)
+POLICY_MUTATIONS = st.one_of(
+    st.tuples(st.just("weight"), st.integers(3, POLICY_LINES - 1), st.integers(0, 10),
+              st.sampled_from(["nan", "inf", "-inf", "abc"])),
+    st.tuples(st.just("delete"), LINE),
+    st.tuples(st.just("duplicate"), LINE),
+    st.tuples(st.just("dims"), st.lists(st.integers(-1, 9).map(str) | st.just("x"), max_size=4)),
+    st.tuples(st.just("activations"),
+              st.lists(st.sampled_from(["relu", "linear", "softmax", "tanh"]), max_size=3)),
+    st.tuples(st.just("net"), st.sampled_from([1, 3, 5, 7, 8]), st.sampled_from([1, 2, 3])),
+    ANY_FILE,
+)
+
+
+def mutate_any(path: Path, mutation) -> bool:
+    """Apply a mutation of ``ANY_FILE``; False if ``mutation`` is not one."""
     kind, *args = mutation
     raw = path.read_bytes()
-    if kind == "field":
-        keys, value = args
-        data = json.loads(raw)
-        (data["soiling"] if len(keys) == 2 else data)[keys[-1]] = value
-        path.write_text(json.dumps(data))
-    elif kind == "truncate":
+    if kind == "truncate":
         path.write_bytes(raw[:args[0] % len(raw)])
     elif kind == "byte":
         at = args[0] % len(raw)
         path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-    else:
+    elif kind == "directory":
         path.unlink()
         path.mkdir()
+    else:
+        return False
+    return True
+
+
+def mutate(path: Path, mutation) -> None:
+    """Apply one of ``CONFIG_MUTATIONS`` to a config file."""
+    if not mutate_any(path, mutation):
+        _, keys, value = mutation
+        data = json.loads(path.read_bytes())
+        (data["soiling"] if len(keys) == 2 else data)[keys[-1]] = value
+        path.write_text(json.dumps(data))
+
+
+def mutate_model(path: Path, mutation) -> None:
+    """Apply one of ``MODEL_MUTATIONS`` to a weather-model CSV."""
+    if mutate_any(path, mutation):
+        return
+    kind, row, *args = mutation
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    params = fields[3].split(";")
+    if kind == "drop":
+        start, count = args
+        del fields[start:start + count]
+    elif kind == "delete":
+        del lines[row]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "param":
+        at, value = args
+        params[at % len(params)] = value
+    elif kind == "family":
+        fields[2] = args[0]
+    elif kind == "arity":
+        params = params[:-1] if args[0] < 0 else params + ["1.0"]
+    else:  # clamps: swapped, or equal
+        fields[4:6] = fields[5:3:-1] if args[0] else fields[4:5] * 2
+    if kind not in ("delete", "duplicate"):
+        if kind in ("param", "arity"):
+            fields[3] = ";".join(params)
+        lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def mutate_policy(path: Path, mutation) -> None:
+    """Apply one of ``POLICY_MUTATIONS`` to a policy file."""
+    if mutate_any(path, mutation):
+        return
+    kind, *args = mutation
+    lines = path.read_text().splitlines()
+    if kind == "weight":
+        line, at, value = args
+        row = lines[line].split()
+        row[at % len(row)] = value
+        lines[line] = " ".join(row)
+    elif kind == "delete":
+        del lines[args[0]]
+    elif kind == "duplicate":
+        lines.insert(args[0], lines[args[0]])
+    elif kind == "dims":
+        lines[1] = " ".join(["dims", *args[0]])
+    elif kind == "activations":
+        lines[2] = " ".join(["activations", *args[0]])
+    else:  # net: a well-formed net of another input or output width
+        n_in, n_out = args
+        save_net(DenseNet([n_in, 4, n_out], ["relu", "softmax"], seed=1), path)
+        return
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_eval(case, out: Path, policy="interval:7", *flags):
+    """``pvclean eval`` in-process: its exit code and stderr lines."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["eval", str(policy), "--case", str(case), *flags, "--episodes", "2",
+                       "--out", str(out)])
+    return rc, stderr.getvalue().splitlines()
+
+
+def assert_finite_summary_or_one_error(rc, err, out: Path, mutated: Path):
+    """Exit 0 with a well-formed, finite summary CSV, or exit 1 with one
+    ``error:`` line that names ``mutated``."""
+    if rc == 0:
+        (summary,) = out.glob("*_eval_summary.csv")
+        rows = [ln.split(",") for ln in summary.read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[0] == ["case", "mean_cleanings", "mean_total_cost"] and len(rows) == 2
+        assert len(rows[1]) == 3 and all(math.isfinite(float(v)) for v in rows[1][1:])
+    else:
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
+        assert str(mutated) in err[0], err
 
 
 @settings(max_examples=200, deadline=None)
-@given(mutation=MUTATIONS)
+@given(mutation=CONFIG_MUTATIONS)
 # Faults this harness found: an integer past the float range escaped as
 # OverflowError, an unknown key holding a newline made a two-line error,
 # a name with a ',' or a newline wrote a malformed CSV, and one with '../'
-# wrote outside --out.
+# wrote outside --out; an inadmissible cubic gave a negative cost.
 @example(mutation=("field", ("tariff",), 10**400))
 @example(mutation=("field", ("soiling", "humidity_k"), -10**400))
 @example(mutation=("field", ("soiling",), {"\n": 0}))
 @example(mutation=("field", ("name",), "a,b"))
 @example(mutation=("field", ("name",), "a\nb"))
 @example(mutation=("field", ("name",), "../x"))
+@example(mutation=("field", ("soiling", "cubic"), [1, 2, 3]))
+@example(mutation=("field", ("tariff",), 1e308))
+@example(mutation=("field", ("weather_model_path",), "\x00"))
 def test_mutated_config_gives_a_finite_result_or_one_error_line(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "case.json", Path(tmp) / "out"
         save_config(VALID, path)
         mutate(path, mutation)
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            rc = cli.main(["eval", "interval:7", "--case", str(path), "--episodes", "2",
-                           "--out", str(out)])
-        if rc == 0:
-            (summary,) = out.glob("*_eval_summary.csv")
-            rows = [ln.split(",") for ln in summary.read_text().splitlines()
-                    if not ln.startswith("#")]
-            assert rows[0] == ["case", "mean_cleanings", "mean_total_cost"] and len(rows) == 2
-            assert len(rows[1]) == 3 and all(math.isfinite(float(v)) for v in rows[1][1:])
-        else:
-            err = stderr.getvalue().splitlines()
-            assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), stderr.getvalue()
+        rc, err = run_eval(path, out)
+        assert_finite_summary_or_one_error(rc, err, out, path)
+
+
+# The model file's header line, with its CRLF: truncating there leaves no rows.
+HEADER_BYTES = 48
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=MODEL_MUTATIONS)
+# Faults this harness pins: a row without params ended in an AttributeError,
+# one without clamp_hi in a TypeError, and a header-only file's error did
+# not name the file.
+@example(mutation=("drop", 3, 3, 3))
+@example(mutation=("drop", 3, 5, 1))
+@example(mutation=("truncate", HEADER_BYTES))
+def test_mutated_weather_model_gives_a_finite_result_or_one_error_line(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, path, out = Path(tmp) / "model.csv", Path(tmp) / "case.json", Path(tmp) / "out"
+        save_model(default_model(), model)
+        assert len(model.read_bytes().splitlines(keepends=True)[0]) == HEADER_BYTES
+        mutate_model(model, mutation)
+        save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
+        rc, err = run_eval(path, out)
+        assert_finite_summary_or_one_error(rc, err, out, model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=POLICY_MUTATIONS)
+# Faults this harness pins: NaN and inf weights loaded and ran, a critic's
+# one output never cleaned, and errors for a wrong input width, a 3-way
+# head and a non-UTF-8 file did not name the file.
+@example(mutation=("weight", 3, 0, "nan"))
+@example(mutation=("weight", 11, 0, "inf"))
+@example(mutation=("net", VALID.obs_dim, 1))
+@example(mutation=("net", VALID.obs_dim + 1, 2))
+@example(mutation=("net", VALID.obs_dim, 3))
+@example(mutation=("byte", 30))
+def test_mutated_policy_gives_a_finite_result_or_one_error_line(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        policy, out = Path(tmp) / "policy.txt", Path(tmp) / "out"
+        save_net(POLICY, policy)
+        assert len(policy.read_text().splitlines()) == POLICY_LINES
+        mutate_policy(policy, mutation)
+        rc, err = run_eval("S1exp", out, policy, "--horizon", "1")
+        assert_finite_summary_or_one_error(rc, err, out, policy)
+
+
+@st.composite
+def inadmissible_cubics(draw):
+    """A cubic whose efficiency exceeds eff_max at a drawn soiling level
+    s > 0, where c3 s^2 + c2 s + c1 = delta > 0."""
+    s = draw(st.floats(1e-3, 1e3))
+    c3, c2 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    delta = draw(st.floats(1e-6, 1.0))
+    return c3, c2, delta - c3 * s * s - c2 * s
+
+
+@settings(max_examples=50, deadline=None)
+@given(cubic=inadmissible_cubics())
+@example(cubic=(1, 2, 3))
+def test_inadmissible_cubic_is_one_error_line(cubic):
+    with pytest.raises(ValueError, match="cubic"):
+        SoilingParams(cubic=cubic)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        save_config(VALID, path)
+        mutate(path, ("field", ("soiling", "cubic"), list(cubic)))
+        rc, err = run_eval(path, Path(tmp) / "out")
+    assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: ") and "cubic" in err[0]

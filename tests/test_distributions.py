@@ -20,8 +20,8 @@ from pvclean.distributions import (_EXP_M2, DistributionSpec, ParameterError, _c
 from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
 
-from oracles import (cheng_accept, cheng_one_by_one, gamma_one_by_one, is_cheng,
-                     johnk_one_by_one, ndtri1, one_by_one)
+from oracles import (ARITY, cheng_accept, cheng_one_by_one, gamma_one_by_one, is_cheng,
+                     johnk_one_by_one, ndtri1, one_by_one, spec_is_invalid)
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -62,10 +62,40 @@ def test_wrong_arity_rejected(family, params):
     ("johnsonsb", (0.0, -1.0, 0.0, 1.0)),
     ("johnsonsb", (0.0, 1.0, 0.0, 0.0)),
     ("normal", (float("nan"), 1.0)),
+    ("gamma", (0.0, 1.0, 0.0)),            # shape
+    ("loglogistic", (0.0, 1.0, -1.0)),     # scale
+    ("beta", (0.0, 1.0, 2.0, 0.0)),        # b
 ])
 def test_invalid_parameters_rejected(family, params):
     with pytest.raises(ParameterError):
         DistributionSpec(family, params)
+
+
+_FAMILY_NAMES = [*ARITY, "cauchy"]
+# Positive values come twice as often as each kind of bad one.
+_PARAMETERS = st.sampled_from([0.5, 1.0, 2.0, 3.0] * 2 + [0.0, -0.0, -1.0, math.nan, math.inf,
+                                                          -math.inf]) | st.floats()
+_CLAMPS = st.sampled_from([(-math.inf, math.inf), (0.0, 1.0), (-1.0, 0.0), (1.0, 0.0), (0.0, 0.0),
+                           (math.nan, math.inf)]) | st.tuples(st.floats(), st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(family=st.sampled_from(_FAMILY_NAMES), extra=st.sampled_from([0, 0, 0, 0, -1, 1]),
+       clamps=_CLAMPS, data=st.data())
+def test_spec_rejects_exactly_what_the_per_family_rules_reject(family, extra, clamps, data):
+    """``DistributionSpec`` raises ``ParameterError`` exactly when the
+    family-by-family rules of ``oracles.spec_is_invalid`` do: the eight
+    families and an unknown one, arity +-1, 0, negatives, NaN, +-inf and
+    clamps in both orders."""
+    arity = ARITY.get(family, 3) + extra
+    params = data.draw(st.lists(_PARAMETERS, min_size=arity, max_size=arity), label="params")
+    invalid = spec_is_invalid(family, params, *clamps)
+    try:
+        DistributionSpec(family, params, *clamps)
+    except ParameterError:
+        assert invalid
+    else:
+        assert not invalid
 
 
 def test_invalid_clamp_rejected():

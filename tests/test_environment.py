@@ -7,6 +7,7 @@ and actions, rewards and state are (1,) arrays; tests read replication 0.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -211,6 +212,17 @@ def test_save_config_bytes_are_pinned(tmp_path, cfg, text):
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonpositive = st.floats(max_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def admissible_cubics(draw):
+    """A cubic (c3, c2, c1) that keeps efficiency <= eff_max for s >= 0:
+    c1 <= 0, c3 <= 0, and c2 <= 0 or c2 <= sqrt(c3 c1), half the bound."""
+    c3, c1 = draw(nonpositive), draw(nonpositive)
+    c2 = draw(nonpositive | st.floats(0.0, 1.0).map(
+        lambda t: t * math.sqrt(-c3) * math.sqrt(-c1)))
+    return c3, c2, c1
 
 
 @st.composite
@@ -221,8 +233,7 @@ def scenario_configs(draw):
         beta_residue=draw(positive),
         annual_degradation=draw(st.floats(0.0, 1.0, exclude_max=True)),
         eff_max=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        cubic=tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                  min_size=3, max_size=3))))
+        cubic=draw(admissible_cubics()))
     return ScenarioConfig(
         tariff=draw(positive),
         cleaning_cost=draw(st.floats(min_value=0.0, allow_infinity=False)),

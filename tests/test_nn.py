@@ -211,6 +211,27 @@ _MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line", [4, 8, 11], ids=["weight", "bias", "last-bias"])
+def test_load_rejects_a_non_finite_value(tmp_path, line, value):
+    path = tmp_path / "net.txt"
+    save_net(DenseNet([6, 4, 2], ["relu", "softmax"], seed=9), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 11
+    lines[line - 1] = " ".join([*lines[line - 1].split()[:-1], value])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"net.txt: line {line}: non-finite"):
+        load_net(path)
+
+
+def test_load_names_the_file_of_a_non_utf8_net(tmp_path):
+    path = tmp_path / "net.txt"
+    save_net(DenseNet([6, 4, 2], ["relu", "softmax"], seed=9), path)
+    path.write_bytes(path.read_bytes().replace(b"relu", b"r\xfflu"))
+    with pytest.raises(ValueError, match="net.txt: 'utf-8' codec"):
+        load_net(path)
+
+
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_load_rejects_malformed_file(tmp_path, case):
     """A truncated or inconsistent file is a ValueError, never an IndexError."""

@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pvclean
@@ -59,7 +60,9 @@ def all_replications_episode_costs(z, config, weather):
 @st.composite
 def soiling_params(draw):
     """Default physics, or a cubic whose efficiency crosses 0 at a soiling
-    level ``s0`` that long segments pass, so the floor at 0 binds."""
+    level ``s0`` that long segments pass, so the floor at 0 binds.  Only
+    cubics that keep efficiency <= eff_max for s >= 0 are drawn, as
+    ``SoilingParams`` requires."""
     if draw(st.booleans()):
         return SoilingParams()
     eff_max = SoilingParams().eff_max
@@ -67,6 +70,7 @@ def soiling_params(draw):
     c2 = draw(st.floats(-0.05, 0.05))
     s0 = draw(st.floats(0.05, 3.0))
     c1 = -(eff_max + c2 * s0 ** 2 + c3 * s0 ** 3) / s0
+    assume(c1 <= 0 and (c2 <= 0 or Fraction(c2) ** 2 <= 4 * Fraction(c3) * Fraction(c1)))
     return SoilingParams(beta_residue=draw(st.floats(0.001, 1.0)), cubic=(c3, c2, c1))
 
 

@@ -36,6 +36,31 @@ def test_params_reject_non_finite_values_and_bad_cubic(fields):
         SoilingParams(**fields)
 
 
+@pytest.mark.parametrize("cubic", [
+    (-0.0026, 0.032, -0.1369),      # the default
+    (-0.002, 0.03, -0.13),
+    (-1.0, 2.0, -1.0),              # c2^2 == 4 c3 c1: efficiency touches eff_max at s = 1
+    (0.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0),
+])
+def test_params_accept_a_cubic_that_keeps_efficiency_at_most_eff_max(cubic):
+    sp = SoilingParams(cubic=cubic)
+    s = np.linspace(0.0, 10.0, 1001)
+    assert (efficiency(s, 1.0, sp) <= sp.eff_max + 1e-12).all()
+
+
+@pytest.mark.parametrize("cubic", [
+    (-0.0026, 0.032, 1e-9),         # c1 > 0
+    (1e-9, -0.032, -0.1369),        # c3 > 0
+    (-1.0, 2.000001, -1.0),         # c2 > 0 and c2^2 > 4 c3 c1
+    (0.0, 1e-300, 0.0),
+    (1, 2, 3),
+])
+def test_params_reject_a_cubic_that_lifts_efficiency_past_eff_max(cubic):
+    with pytest.raises(ValueError, match="cubic must keep efficiency <= eff_max"):
+        SoilingParams(cubic=cubic)
+
+
 def test_daily_soiling_values():
     assert daily_soiling(0.0, 0.0) == pytest.approx(0.0152640, abs=TOL)
     assert daily_soiling(0.0, 0.1) == pytest.approx(0.00144 * (10.6 + 24.7), abs=TOL)

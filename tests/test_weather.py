@@ -169,6 +169,40 @@ def test_load_rejects_bad_params(tmp_path):
         load_model(path)
 
 
+def model_file(tmp_path, edit):
+    """The default model saved to a CSV whose lines ``edit`` changes."""
+    path = tmp_path / "model.csv"
+    save_model(default_model(), path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return path
+
+
+@pytest.mark.parametrize("fields", [3, 5], ids=["no-params", "no-clamp-hi"])
+def test_load_rejects_a_short_row(tmp_path, fields):
+    def edit(lines):
+        lines[3] = ",".join(lines[3].split(",")[:fields]) + "\n"
+        return lines
+    path = model_file(tmp_path, edit)
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: line 4: missing ")):
+        load_model(path)
+
+
+def test_load_names_the_file_of_a_header_only_model(tmp_path):
+    path = model_file(tmp_path, lambda lines: lines[:1])
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"{path}: missing cell month=1 variable=temperature")):
+        load_model(path)
+
+
+def test_load_rejects_a_cell_outside_the_grid(tmp_path):
+    def edit(lines):
+        lines[1] = lines[1].replace("1,temperature", "13,temperature")
+        return lines
+    path = model_file(tmp_path, edit)
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: unexpected cells: [(13, ")):
+        load_model(path)
+
+
 def test_make_streams_variable_independence():
     streams = make_streams(0)
     assert set(streams) == set(VARIABLES)
