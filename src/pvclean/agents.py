@@ -5,7 +5,9 @@ clipped-surrogate / value-regression minibatch updates.  SAC is off-policy
 with a replay buffer, twin Q-networks taking the state concatenated with a
 one-hot action, Polyak-averaged targets, and an entropy bonus
 with fixed temperature.  Both agents run entirely on the float64 dense
-networks from :mod:`pvclean.nn`.
+networks from :mod:`pvclean.nn`.  :func:`evaluate` scores any policy as an
+:class:`~pvclean.environment.Evaluation`, the per-replication record that
+Sim-Opt returns for a fixed interval on the same replication seeds.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (CleaningEnv, NumericalError, ScenarioConfig, cleaning_interval,
-                          observation_scales)
+from .environment import (CleaningEnv, Evaluation, NumericalError, ScenarioConfig,
+                          cleaning_interval, observation_scales)
 from .nn import Adam, DenseNet, clip_global_norm
 from .rng import RandomStream, replication_entropy, training_entropy
 
 __all__ = [
     "PPOConfig", "SACConfig", "NumericalError", "compute_gae",
     "clipped_surrogate_grad", "PPOAgent", "SACAgent", "ReplayBuffer",
-    "GreedyPolicy", "FixedIntervalPolicy", "SampledPolicy", "TrainResult", "EvalResult",
+    "GreedyPolicy", "FixedIntervalPolicy", "SampledPolicy", "TrainResult",
     "train", "rollout", "evaluate",
 ]
 
@@ -387,14 +389,6 @@ class TrainResult:
     loss_history: list
 
 
-@dataclass
-class EvalResult:
-    mean_total_cost: float
-    mean_cleanings: float
-    costs: list
-    cleanings: list
-
-
 def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
           seed: int = 0, agent_config=None) -> TrainResult:
     """Train PPO or SAC for ``episodes`` full episodes.
@@ -469,18 +463,16 @@ def rollout(policy, env: CleaningEnv, seeds, on_step=None) -> CleaningEnv:
     return env
 
 
-def evaluate(policy, env_config: ScenarioConfig, episodes: int = 30) -> EvalResult:
-    """Mean total cost and cleanings of ``policy`` over seeded episodes.
+def evaluate(policy, env_config: ScenarioConfig, episodes: int = 30) -> Evaluation:
+    """Total cost and cleanings of ``policy`` in each of ``episodes`` seeded episodes.
 
-    Episode r uses the replication sub-seed (seed, replication-tag, r) —
-    the same seeds as :func:`pvclean.simopt.evaluate_interval`, and
-    disjoint from the training seeds.
+    Episode r uses the replication sub-seed (seed, replication-tag, r),
+    disjoint from the training seeds.  These are the seeds of
+    :func:`pvclean.simopt.evaluate_interval`, so entry r of the returned
+    :class:`~pvclean.environment.Evaluation` pairs with entry r of its.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     env = rollout(policy, CleaningEnv(env_config),
                   [replication_entropy(env_config.seed, r) for r in range(episodes)])
-    costs = env.cumulative_cost.tolist()
-    cleanings = env.cumulative_cleanings.tolist()
-    return EvalResult(float(np.mean(costs)), float(np.mean(cleanings)),
-                      costs, cleanings)
+    return Evaluation(env.cumulative_cost, env.cumulative_cleanings)

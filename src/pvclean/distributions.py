@@ -9,7 +9,7 @@ weather table shipped with the package:
 * ``weibull(loc, shape, scale)`` — loc + scale * (-ln U) ** (1/shape)
 * ``gamma(loc, scale, shape)`` — loc + scale * G(shape), Marsaglia-Tsang
 * ``beta(min, max, a, b)`` — min + (max-min) * B(a, b); Cheng BB when
-  min(a, b) > 1, Johnk otherwise (fixed choice)
+  min(a, b) > 1, where 2ab must be finite, Johnk otherwise (fixed choice)
 * ``johnsonsb(loc, range, d, xi)`` — loc + range / (1 + exp(-(Z - d)/xi))
 * ``loglogistic(loc, shape, scale)`` — loc + scale * (U/(1-U)) ** (1/shape)
 
@@ -110,8 +110,11 @@ class DistributionSpec:
             raise ParameterError(f"{fam} {' and '.join(bad)} must be > 0: {p}")
         if fam == "triangular" and not (p[0] < p[1] and p[0] <= p[2] <= p[1]):
             raise ParameterError(f"triangular needs min < max, min <= mode <= max: {p}")
-        if fam == "beta" and not p[0] < p[1]:
-            raise ParameterError(f"beta needs min < max: {p}")
+        # Cheng BB (a, b > 1) divides by 2ab - a - b: with 2ab = inf its
+        # constants are 1/0 or NaN, and a draw with NaN ones never finishes.
+        if fam == "beta" and not (p[0] < p[1] and (min(p[2:]) <= 1.0
+                                                   or math.isfinite(2.0 * p[2] * p[3]))):
+            raise ParameterError(f"beta needs min < max, and 2ab finite if a, b > 1: {p}")
         if not self.clamp_lo < self.clamp_hi:
             raise ParameterError(
                 f"clamp_lo must be < clamp_hi: [{self.clamp_lo}, {self.clamp_hi}]")

@@ -24,7 +24,7 @@ from .weather import (KMH_PER_MS, VARIABLES, MonthlyWeatherModel, default_model,
                       load_model, stack_weather)
 
 __all__ = [
-    "ScenarioConfig", "StepResult", "CleaningEnv", "ConfigError", "NumericalError",
+    "ScenarioConfig", "StepResult", "Evaluation", "CleaningEnv", "ConfigError", "NumericalError",
     "EpisodeDoneError", "PRESETS", "preset", "load_config", "save_config",
     "CALIBRATED_PANEL_AREA",
     "FEATURE_SCALES", "observation_scales", "cleaning_interval", "day_arrays",
@@ -194,6 +194,29 @@ def load_config(path) -> ScenarioConfig:
         return ScenarioConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One policy's totals over replicated episodes.
+
+    Entry r of each array is replication r, whose weather comes from the
+    sub-seed ``replication_entropy(config.seed, r)`` on both routes that
+    return it (:func:`pvclean.simopt.evaluate_interval` and
+    :func:`pvclean.agents.evaluate`), so two evaluations of one config pair
+    by index.
+    """
+
+    costs: np.ndarray           # total cost of each replication, USD
+    cleanings: np.ndarray       # cleanings in each replication
+
+    @property
+    def mean_total_cost(self) -> float:
+        return float(self.costs.mean())
+
+    @property
+    def mean_cleanings(self) -> float:
+        return float(self.cleanings.mean())
 
 
 @dataclass

@@ -3,7 +3,10 @@
 Exhaustive search over cleaning intervals z: each candidate is scored by
 the mean total cost over replicated Monte-Carlo episodes.  Replication r
 always uses the same sub-seed regardless of z (common random numbers), so
-the cost curve is smooth and bit-reproducible for a fixed base seed.
+the cost curve is smooth and bit-reproducible for a fixed base seed.  Each
+score is an :class:`~pvclean.environment.Evaluation` holding the costs and
+cleanings of every replication, the record that
+:func:`pvclean.agents.evaluate` returns for any policy on the same seeds.
 
 The evaluator scores all intervals of a sweep in one pass per
 replication.  Every segment start's row of per-day values is computed
@@ -20,29 +23,16 @@ form over one unit-area sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .environment import NumericalError, ScenarioConfig, cleaning_interval, day_arrays
+from .environment import Evaluation, NumericalError, ScenarioConfig, cleaning_interval, day_arrays
 from .rng import replication_entropy
 from .weather import stack_weather
 
-__all__ = ["IntervalEvaluation", "evaluate_interval", "optimize",
-           "precompute_weather", "calibrate_panel_area"]
-
-
-@dataclass
-class IntervalEvaluation:
-    """Replicated-episode score of one cleaning interval."""
-
-    z: int
-    mean_total_cost: float
-    costs: list                 # per-replication total cost, USD
-    mean_cleanings: float
-    mean_energy_loss_cost: float
-    mean_cleaning_cost: float
+__all__ = ["evaluate_interval", "optimize", "precompute_weather", "calibrate_panel_area"]
 
 
 def precompute_weather(config: ScenarioConfig, replications: int) -> dict:
@@ -180,9 +170,11 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
 
 def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
                       days: dict | None = None,
-                      energy_loss: np.ndarray | None = None) -> IntervalEvaluation:
+                      energy_loss: np.ndarray | None = None) -> Evaluation:
     """Score cleaning interval ``z`` by ``replications`` common-seed episodes.
 
+    Returns the per-replication costs and cleanings as an
+    :class:`~pvclean.environment.Evaluation`, entry r from replication r.
     ``days`` takes the :func:`~pvclean.environment.day_arrays` of weather
     already drawn, and ``energy_loss`` the per-replication energy-loss
     costs of ``z`` when a sweep over several intervals has computed them.
@@ -200,25 +192,19 @@ def evaluate_interval(z: int, config: ScenarioConfig, replications: int = 30,
         raise ValueError(f"energy_loss has shape {np.shape(energy_loss)}, "
                          f"not ({replications},)")
     cleanings = -(-days["d_cal"].shape[1] // z) - 1
-    cleaning_cost = cleanings * config.cleaning_cost
-    totals = energy_loss + cleaning_cost
+    totals = energy_loss + cleanings * config.cleaning_cost
     if not np.isfinite(totals).all():
         raise NumericalError(f"non-finite cost for interval {z}")
-    return IntervalEvaluation(
-        z=z,
-        mean_total_cost=float(totals.mean()),
-        costs=[float(c) for c in totals],
-        mean_cleanings=float(cleanings),
-        mean_energy_loss_cost=float(energy_loss.mean()),
-        mean_cleaning_cost=float(cleaning_cost),
-    )
+    return Evaluation(totals, np.full(replications, cleanings))
 
 
 def optimize(config: ScenarioConfig, z_min: int = 1, z_max: int = 120,
              replications: int = 30):
     """Exhaustive interval search; returns (z_star, full cost curve).
 
-    Ties in mean total cost break toward the smaller interval.
+    ``curve[i]`` is the :class:`~pvclean.environment.Evaluation` of
+    interval ``z_min + i``.  Ties in mean total cost break toward the
+    smaller interval.
     """
     z_min, z_max = cleaning_interval(z_min), cleaning_interval(z_max)
     if z_min > z_max:
@@ -228,8 +214,8 @@ def optimize(config: ScenarioConfig, z_min: int = 1, z_max: int = 120,
     losses = _energy_losses(zs, config, days)
     curve = [evaluate_interval(z, config, replications, days=days, energy_loss=loss)
              for z, loss in zip(zs, losses)]
-    best = min(curve, key=lambda e: (e.mean_total_cost, e.z))
-    return best.z, curve
+    best = min(range(len(curve)), key=lambda i: curve[i].mean_total_cost)
+    return zs[best], curve
 
 
 def calibrate_panel_area(config: ScenarioConfig, target_cost: float,
@@ -247,8 +233,12 @@ def calibrate_panel_area(config: ScenarioConfig, target_cost: float,
     is positive and finite, as when the target is not above the cheapest
     interval's cleaning cost.
     """
-    _, curve = optimize(replace(config, panel_area=1.0), z_min, z_max, replications)
-    e, c = np.array([(ev.mean_energy_loss_cost, ev.mean_cleaning_cost) for ev in curve]).T
+    # At unit area and no cleaning cost, an interval's cost is its energy loss
+    # (e + 0.0 == e), so the sweep's means are the e_z exactly.
+    _, curve = optimize(replace(config, panel_area=1.0, cleaning_cost=0.0), z_min, z_max,
+                        replications)
+    e, c = np.array([(ev.mean_total_cost, ev.mean_cleanings * config.cleaning_cost)
+                     for ev in curve]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         area = float(np.max((target_cost - c) / e))
     if not (np.isfinite(area) and area > 0.0):

@@ -187,6 +187,8 @@ def spec_is_invalid(family: str, params: tuple, clamp_lo: float, clamp_hi: float
         lo, hi, a, b = p
         if lo >= hi or a <= 0 or b <= 0:
             return True
+        if min(a, b) > 1 and not math.isfinite(2.0 * a * b):
+            return True
     if fam == "johnsonsb" and (p[1] <= 0 or p[3] <= 0):
         return True
     return not clamp_lo < clamp_hi

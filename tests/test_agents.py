@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvclean import agents
 from pvclean.agents import (FixedIntervalPolicy, GreedyPolicy, PPOConfig,
                             ReplayBuffer, SACConfig, clipped_surrogate_grad,
                             compute_gae, evaluate, train)
-from pvclean.environment import FEATURE_SCALES, CleaningEnv, ScenarioConfig
+from pvclean.environment import FEATURE_SCALES, CleaningEnv, Evaluation, ScenarioConfig
 from pvclean.nn import DenseNet
 from pvclean.rng import RandomStream, replication_entropy
 from pvclean.simopt import evaluate_interval
@@ -138,13 +140,21 @@ def test_replay_buffer_ring():
     assert obs.shape == (8, 2) and rew.min() >= 2.0
 
 
-def test_evaluate_fixed_interval_matches_simopt():
-    cfg = ScenarioConfig(**SMALL, seed=3)
-    z = 25
-    res = evaluate(FixedIntervalPolicy(z, cfg), cfg, episodes=4)
-    ev = evaluate_interval(z, cfg, replications=4)
-    np.testing.assert_allclose(res.costs, ev.costs, rtol=1e-9)
-    assert res.mean_cleanings == ev.mean_cleanings
+@settings(max_examples=50, deadline=None)
+@given(horizon=st.integers(1, 2), reps=st.integers(1, 4), start_month=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_evaluate_fixed_interval_matches_simopt(horizon, reps, start_month, seed, data):
+    """The environment route and the closed-form route return the same record,
+    paired by replication: entry r of each is the episode on replication r's
+    seed, with equal cleanings and costs within 1e-9 relative."""
+    cfg = ScenarioConfig(**{**SMALL, "horizon_years": horizon}, start_month=start_month,
+                         seed=seed)
+    z = data.draw(st.integers(1, cfg.n_days + 3), label="z")
+    res = evaluate(FixedIntervalPolicy(z, cfg), cfg, episodes=reps)
+    ev = evaluate_interval(z, cfg, replications=reps)
+    assert type(res) is type(ev) is Evaluation
+    assert res.cleanings.tolist() == ev.cleanings.tolist()
+    np.testing.assert_allclose(res.costs, ev.costs, rtol=1e-9, atol=0)
 
 
 def sequential_evaluate(policy, cfg, episodes):
@@ -182,8 +192,8 @@ def test_lockstep_evaluate_matches_sequential_oracle(overrides, kind):
         policy = FixedIntervalPolicy(23, cfg)
     res = evaluate(policy, cfg, episodes=4)
     costs, cleanings = sequential_evaluate(policy, cfg, 4)
-    assert res.costs == costs
-    assert res.cleanings == cleanings
+    assert res.costs.tolist() == costs
+    assert res.cleanings.tolist() == cleanings
     # The policy mixes both actions, so the comparison covers cleaning days.
     assert all(0 < c < cfg.n_days for c in cleanings)
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pvclean
-from pvclean import weather
+from pvclean import cli, weather
 from pvclean.cli import main
 from pvclean.environment import preset, save_config
 from pvclean.nn import DenseNet, save_net
@@ -404,7 +405,8 @@ EVAL_SUMMARY = "case,mean_cleanings,mean_total_cost\nS1exp,12.0,20.0\n"
     ("case,z_star,mean_cleanings\nS1exp,36,10.0\n", "S1exp_simopt_summary.csv"),
     (SIMOPT_SUMMARY.format(cost="0.0"), "S1exp_simopt_summary.csv"),
     (SIMOPT_SUMMARY.format(cost="nan"), "report.csv"),
-], ids=["no-cost-column", "zero-cost", "nan-cost"])
+    ("z_star,mean_cleanings,mean_total_cost\n36,10.0,24.8\n", "S1exp_simopt_summary.csv"),
+], ids=["no-cost-column", "zero-cost", "nan-cost", "no-case-column"])
 def test_bad_summary_is_a_report_error(tmp_path, capsys, simopt_summary, names):
     (tmp_path / "S1exp_simopt_summary.csv").write_text(simopt_summary)
     (tmp_path / "S1exp_eval_summary.csv").write_text(EVAL_SUMMARY)
@@ -444,3 +446,79 @@ def test_horizon_beyond_bound_is_an_error(tmp_path, capsys, monkeypatch):
     rc = run(["simopt", "--case", "S1exp", "--horizon", "1000000", "--out", tmp_path])
     assert rc == 1
     assert "horizon_years must be in 1..100" in one_error_line(capsys)
+
+
+def run_capped(argv, cwd):
+    """``pvclean argv`` in a fresh interpreter capped at 1.5 GB of address
+    space and 60 s, so a command that allocates without bound fails there."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "pvclean.cli", *map(str, argv)], cwd=cwd,
+                          env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+
+
+def capped_error_line(proc):
+    """The single ``error:`` line of a capped run that exited 1 with no output."""
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1 and len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert proc.stdout == ""
+    return err[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simopt", "--reps", "100000000"],
+     "--reps x horizon days is 730,000,000,000, more than 2,000,000"),
+    (["eval", "interval:7", "--episodes", "100000000"],
+     "--episodes x horizon days is 730,000,000,000, more than 2,000,000"),
+    (["simopt", "--zmax", "1000000000"], "--zmax x --reps is 30,000,000,000, more than 100,000"),
+    (["train", "ppo", "--episodes", "100000000"], "--episodes is 100,000,000, more than 100,000"),
+], ids=["reps", "eval-episodes", "zmax", "train-episodes"])
+def test_count_beyond_its_bound_is_an_error(tmp_path, argv, message):
+    proc = run_capped([*argv, "--case", "S1exp", "--out", tmp_path / "out"], tmp_path)
+    assert capped_error_line(proc) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_count_bounds_admit_thirty_replications_of_the_longest_horizon(tmp_path, capsys,
+                                                                       monkeypatch):
+    # An admitted command gets as far as its computation; one count past a
+    # bound does not.
+    def reached(*args, **kwargs):
+        raise ValueError("reached")
+
+    for module, name in [(cli.simopt, "optimize"), (cli.agents, "evaluate"),
+                         (cli.agents, "train")]:
+        monkeypatch.setattr(module, name, reached)
+    for argv, admitted in [
+        (["simopt", "--horizon", "100", "--reps", "30"], True),
+        (["simopt", "--horizon", "100", "--reps", "54"], True),
+        (["simopt", "--horizon", "100", "--reps", "55"], False),
+        (["simopt", "--horizon", "1", "--reps", "1", "--zmax", "100000"], True),
+        (["simopt", "--horizon", "1", "--reps", "2", "--zmax", "50001"], False),
+        (["eval", "interval:7", "--horizon", "100", "--episodes", "54"], True),
+        (["eval", "interval:7", "--horizon", "100", "--episodes", "55"], False),
+        (["train", "sac", "--horizon", "1", "--episodes", "100000"], True),
+        (["train", "sac", "--horizon", "1", "--episodes", "100001"], False),
+    ]:
+        assert run([*argv, "--case", "S1exp", "--out", tmp_path]) == 1
+        assert (one_error_line(capsys) == "error: reached") == admitted, argv
+
+
+@pytest.mark.parametrize("shapes", ["1e155;1e155", "1e308;1e308"])
+def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, shapes):
+    # 2ab = inf: Cheng BB's constants were 1/0 (a ZeroDivisionError) at
+    # 1e155 and NaN at 1e308, where the draw never accepted an attempt.
+    model = tmp_path / "model.csv"
+    save_model(default_model(), model)
+    model.write_text("".join(
+        f"2,relative_humidity,beta,0;100;{shapes},1.0,100.0\n"
+        if line.startswith("2,relative_humidity,") else line
+        for line in model.read_text().splitlines(keepends=True)))
+    path = tmp_path / "scenario.json"
+    save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
+    proc = run_capped(["simopt", "--case", path, "--reps", "2", "--zmax", "10",
+                       "--out", tmp_path / "out"], tmp_path)
+    line = capped_error_line(proc)
+    assert str(model) in line and "2ab finite" in line and str(path) in line

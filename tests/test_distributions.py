@@ -65,10 +65,30 @@ def test_wrong_arity_rejected(family, params):
     ("gamma", (0.0, 1.0, 0.0)),            # shape
     ("loglogistic", (0.0, 1.0, -1.0)),     # scale
     ("beta", (0.0, 1.0, 2.0, 0.0)),        # b
+    ("beta", (0.0, 100.0, 1e155, 1e155)),  # Cheng BB with 2ab = inf
+    ("beta", (0.0, 1.0, 1.5, 1e308)),
 ])
 def test_invalid_parameters_rejected(family, params):
     with pytest.raises(ParameterError):
         DistributionSpec(family, params)
+
+
+_CHENG_SHAPES = (st.floats(1.0, exclude_min=True, allow_infinity=False)
+                 | st.sampled_from([1.0 + 2 ** -52, 9e153, 9.5e153, 1e154, 1e155, 1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_CHENG_SHAPES, b=_CHENG_SHAPES)
+def test_accepted_cheng_specs_have_finite_constants(a, b):
+    """Every beta spec that ``DistributionSpec`` accepts with min(a, b) > 1
+    gives Cheng BB finite constants with beta > 0; the rest have 2ab = inf."""
+    try:
+        DistributionSpec("beta", (0.0, 1.0, a, b))
+    except ParameterError:
+        assert not math.isfinite(2.0 * a * b)
+        return
+    constants = _cheng_constants(a, b)
+    assert all(math.isfinite(c) for c in constants) and constants[3] > 0.0
 
 
 _FAMILY_NAMES = [*ARITY, "cauchy"]
