@@ -4,8 +4,10 @@ PPO is on-policy: one rollout = one full episode, then several epochs of
 clipped-surrogate / value-regression minibatch updates.  SAC is off-policy
 with a replay buffer, twin Q-networks taking the state concatenated with a
 one-hot action, Polyak-averaged targets, and an entropy bonus
-with fixed temperature.  Both agents run entirely on the float64 dense
-networks from :mod:`pvclean.nn`.  :func:`evaluate` scores any policy as an
+with fixed temperature.  Both train with the paper's fixed settings, the
+``PPO_*`` and ``SAC_*`` constants below; the one value a caller sets is
+SAC's warmup (:class:`SACConfig`).  Both agents run entirely on the float64
+dense networks from :mod:`pvclean.nn`.  :func:`evaluate` scores any policy as an
 :class:`~pvclean.environment.Evaluation`, the per-replication record that
 Sim-Opt returns for a fixed interval on the same replication seeds.
 """
@@ -24,7 +26,7 @@ from .rng import RandomStream, replication_entropy, training_entropy
 
 __all__ = [
     "PPOConfig", "SACConfig", "NumericalError", "compute_gae",
-    "clipped_surrogate_grad", "PPOAgent", "SACAgent", "ReplayBuffer",
+    "clipped_surrogate", "PPOAgent", "SACAgent", "ReplayBuffer",
     "GreedyPolicy", "FixedIntervalPolicy", "SampledPolicy", "TrainResult",
     "train", "rollout", "evaluate",
 ]
@@ -32,43 +34,40 @@ __all__ = [
 _SMOOTH_WINDOW = 20
 
 
+# The paper's fixed PPO settings; no program varies them.
+PPO_LEARNING_RATE = 0.0005
+PPO_GAMMA = 0.99
+PPO_GAE_LAMBDA = 0.97
+PPO_CLIP_EPSILON = 0.012
+PPO_EPOCHS = 5
+PPO_MINIBATCH_SIZE = 256
+PPO_VALUE_LOSS_COEFFICIENT = 0.5
+PPO_HIDDEN = 256
+PPO_MAX_GRAD_NORM = 0.5
+
+# The paper's fixed discrete-SAC settings.
+SAC_GAMMA = 0.99
+SAC_TARGET_UPDATE_RATE = 0.005
+SAC_ENTROPY_ALPHA = 0.2
+SAC_LEARNING_RATE = 0.0003
+SAC_REPLAY_CAPACITY = 100_000
+SAC_BATCH_SIZE = 256
+SAC_HIDDEN = 256
+
+
 @dataclass(frozen=True)
 class PPOConfig:
-    learning_rate: float = 0.0005
-    gamma: float = 0.99
-    gae_lambda: float = 0.97
-    clip_epsilon: float = 0.012
-    learning_epochs: int = 5
-    minibatch_size: int = 256
-    value_loss_coefficient: float = 0.5
-    hidden: int = 256
-    max_grad_norm: float = 0.5
+    """PPO has no settings: it trains with the ``PPO_*`` constants.
 
-    def __post_init__(self):
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError(f"clip_epsilon must be in (0, 1): {self.clip_epsilon}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1]: {self.gamma}")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError(f"gae_lambda must be in [0, 1]: {self.gae_lambda}")
+    Kept so that callers may still pass ``PPOConfig()`` to :func:`train`.
+    """
 
 
 @dataclass(frozen=True)
 class SACConfig:
-    gamma: float = 0.99
-    target_update_rate: float = 0.005
-    entropy_alpha: float = 0.2
-    learning_rate: float = 0.0003
-    replay_capacity: int = 100_000
-    batch_size: int = 256
-    warmup_steps: int = 1000
-    hidden: int = 256
+    """Steps taken before SAC's first gradient step."""
 
-    def __post_init__(self):
-        if not 0.0 < self.target_update_rate <= 1.0:
-            raise ValueError(f"target_update_rate must be in (0, 1]: {self.target_update_rate}")
-        if self.replay_capacity < self.batch_size:
-            raise ValueError("replay_capacity must be >= batch_size")
+    warmup_steps: int = 1000
 
 
 def compute_gae(rewards, values, bootstrap_value: float, gamma: float, lam: float):
@@ -96,18 +95,17 @@ def compute_gae(rewards, values, bootstrap_value: float, gamma: float, lam: floa
     return advantages, advantages + values
 
 
-def clipped_surrogate_grad(ratios, advantages, clip_epsilon: float):
-    """Per-sample d(objective)/d(log-prob) of the clipped surrogate.
+def clipped_surrogate(ratios, advantages):
+    """Per-sample clipped-surrogate objective and its d/d(log-prob).
 
-    Zero exactly where the ratio sits outside [1-eps, 1+eps] with the
-    advantage pushing it further out; the probability ratio times the
-    advantage elsewhere.
+    The objective is min(r A, clip(r, 1-eps, 1+eps) A) with
+    eps = ``PPO_CLIP_EPSILON``.  The gradient is zero exactly where the
+    ratio sits outside [1-eps, 1+eps] with the advantage pushing it further
+    out, and the probability ratio times the advantage elsewhere.
     """
-    r = np.asarray(ratios, dtype=float)
-    a = np.asarray(advantages, dtype=float)
-    surr1 = r * a
-    surr2 = np.clip(r, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * a
-    return np.where(surr1 <= surr2, r * a, 0.0)
+    surr1 = ratios * advantages
+    surr2 = np.clip(ratios, 1.0 - PPO_CLIP_EPSILON, 1.0 + PPO_CLIP_EPSILON) * advantages
+    return np.minimum(surr1, surr2), np.where(surr1 <= surr2, surr1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +175,12 @@ class Rollout:
 class PPOAgent:
     """Actor-critic PPO over the 2-action space."""
 
-    def __init__(self, obs_dim: int, config: PPOConfig = PPOConfig(), seed: int = 0):
-        self.config = config
-        h = config.hidden
+    def __init__(self, obs_dim: int, seed: int = 0):
+        h = PPO_HIDDEN
         self.actor = DenseNet([obs_dim, h, 2], ["relu", "softmax"], seed=seed)
         self.critic = DenseNet([obs_dim, h, 1], ["relu", "linear"], seed=seed + 1)
-        self.opt_actor = Adam(self.actor, config.learning_rate)
-        self.opt_critic = Adam(self.critic, config.learning_rate)
+        self.opt_actor = Adam(self.actor, PPO_LEARNING_RATE)
+        self.opt_critic = Adam(self.critic, PPO_LEARNING_RATE)
         self._shuffle = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 7])))
 
@@ -206,16 +203,15 @@ class PPOAgent:
 
     def update(self, rollout: Rollout) -> dict:
         """Clipped-surrogate actor / MSE critic update over the rollout."""
-        cfg = self.config
         advantages, targets = compute_gae(
-            rollout.rewards, rollout.values, 0.0, cfg.gamma, cfg.gae_lambda)
+            rollout.rewards, rollout.values, 0.0, PPO_GAMMA, PPO_GAE_LAMBDA)
         adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         n = len(adv)
         policy_losses, value_losses = [], []
-        for _ in range(cfg.learning_epochs):
+        for _ in range(PPO_EPOCHS):
             order = self._shuffle.permutation(n)
-            for start in range(0, n, cfg.minibatch_size):
-                idx = order[start:start + cfg.minibatch_size]
+            for start in range(0, n, PPO_MINIBATCH_SIZE):
+                idx = order[start:start + PPO_MINIBATCH_SIZE]
                 b = len(idx)
                 obs = rollout.observations[idx]
                 act = rollout.actions[idx]
@@ -226,20 +222,19 @@ class PPOAgent:
                 p_taken = np.clip(probs[np.arange(b), act], 1e-300, None)
                 logp = np.log(p_taken)
                 ratio = np.exp(logp - old_logp)
-                surr1 = ratio * badv
-                surr2 = np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * badv
-                policy_loss = -np.minimum(surr1, surr2).mean()
+                objective, grad = clipped_surrogate(ratio, badv)
+                policy_loss = -objective.mean()
 
-                grad_logp = -clipped_surrogate_grad(ratio, badv, cfg.clip_epsilon) / b
+                grad_logp = -grad / b
                 grad_probs = np.zeros_like(probs)
                 grad_probs[np.arange(b), act] = grad_logp / p_taken
                 actor_grads = clip_global_norm(self.actor.backward(grad_probs),
-                                               cfg.max_grad_norm)
+                                               PPO_MAX_GRAD_NORM)
 
                 v = self.critic.forward(obs)[:, 0]
                 verr = v - targets[idx]
-                value_loss = cfg.value_loss_coefficient * float(np.mean(verr ** 2))
-                grad_v = (2.0 * cfg.value_loss_coefficient * verr / b).reshape(-1, 1)
+                value_loss = PPO_VALUE_LOSS_COEFFICIENT * float(np.mean(verr ** 2))
+                grad_v = (2.0 * PPO_VALUE_LOSS_COEFFICIENT * verr / b).reshape(-1, 1)
                 critic_grads = self.critic.backward(grad_v)
 
                 if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
@@ -293,18 +288,17 @@ class SACAgent:
     expectations over the 2-action simplex are two critic forwards.
     """
 
-    def __init__(self, obs_dim: int, config: SACConfig = SACConfig(), seed: int = 0):
-        self.config = config
-        h = config.hidden
+    def __init__(self, obs_dim: int, seed: int = 0):
+        h = SAC_HIDDEN
         self.actor = DenseNet([obs_dim, h, h, 2], ["relu", "relu", "softmax"], seed=seed)
         self.q1 = DenseNet([obs_dim + 2, h, h, 1], ["relu", "relu", "linear"], seed=seed + 1)
         self.q2 = DenseNet([obs_dim + 2, h, h, 1], ["relu", "relu", "linear"], seed=seed + 2)
         self.target_q1 = self.q1.copy()
         self.target_q2 = self.q2.copy()
-        self.opt_actor = Adam(self.actor, config.learning_rate)
-        self.opt_q1 = Adam(self.q1, config.learning_rate)
-        self.opt_q2 = Adam(self.q2, config.learning_rate)
-        self.buffer = ReplayBuffer(config.replay_capacity, obs_dim)
+        self.opt_actor = Adam(self.actor, SAC_LEARNING_RATE)
+        self.opt_q1 = Adam(self.q1, SAC_LEARNING_RATE)
+        self.opt_q2 = Adam(self.q2, SAC_LEARNING_RATE)
+        self.buffer = ReplayBuffer(SAC_REPLAY_CAPACITY, obs_dim)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 13])))
 
     @staticmethod
@@ -316,10 +310,6 @@ class SACAgent:
         onehots = np.tile(eye, (b, 1))
         return np.concatenate([tiled, onehots], axis=1)
 
-    def _q_all_actions(self, net: DenseNet, obs: np.ndarray) -> np.ndarray:
-        """(B, 2) Q-values for both actions."""
-        return net.forward(self._with_actions(obs)).reshape(-1, 2)
-
     @staticmethod
     def polyak_update(target: DenseNet, online: DenseNet, rate: float) -> None:
         for tp, op in zip(target.parameters(), online.parameters()):
@@ -328,28 +318,28 @@ class SACAgent:
 
     def update(self) -> dict:
         """One gradient step on both critics and the actor, then Polyak."""
-        cfg = self.config
-        if self.buffer.size < cfg.batch_size:
+        if self.buffer.size < SAC_BATCH_SIZE:
             raise ValueError("replay buffer smaller than batch size")
-        obs, act, rew, nobs, done = self.buffer.sample(cfg.batch_size, self._gen)
+        obs, act, rew, nobs, done = self.buffer.sample(SAC_BATCH_SIZE, self._gen)
         b = len(act)
-        alpha = cfg.entropy_alpha
+        alpha = SAC_ENTROPY_ALPHA
+        # (2B, 1) critic outputs reshape to (B, 2) Q-values for both actions.
+        x, next_x = self._with_actions(obs), self._with_actions(nobs)
 
         # Soft targets: expectation over next-action probabilities with the
         # minimum of the two target critics, entropy-regularized.
         next_probs = np.clip(self.actor.forward(nobs), 1e-12, None)
-        tq = np.minimum(self._q_all_actions(self.target_q1, nobs),
-                        self._q_all_actions(self.target_q2, nobs))
+        tq = np.minimum(self.target_q1.forward(next_x),
+                        self.target_q2.forward(next_x)).reshape(-1, 2)
         v_next = (next_probs * (tq - alpha * np.log(next_probs))).sum(axis=1)
-        y = rew + cfg.gamma * (1.0 - done) * v_next
+        y = rew + SAC_GAMMA * (1.0 - done) * v_next
 
         # Both critics' losses and gradients are checked before either
         # steps, so a non-finite update moves no weight (q2's gradient does
         # not read q1).
         q_losses, q_grads = [], []
         for net in (self.q1, self.q2):
-            qsa = self._q_all_actions(net, obs)
-            pred = qsa[np.arange(b), act]
+            pred = net.forward(x).reshape(-1, 2)[np.arange(b), act]
             err = pred - y
             q_losses.append(float(np.mean(err ** 2)))
             grad = np.zeros((b, 2))
@@ -362,16 +352,15 @@ class SACAgent:
 
         # Policy: ascend E_a~pi [min Q - alpha log pi], critics held fixed.
         probs = np.clip(self.actor.forward(obs), 1e-12, None)
-        qmin = np.minimum(self._q_all_actions(self.q1, obs),
-                          self._q_all_actions(self.q2, obs))
+        qmin = np.minimum(self.q1.forward(x), self.q2.forward(x)).reshape(-1, 2)
         policy_obj = float((probs * (qmin - alpha * np.log(probs))).sum(axis=1).mean())
         if not np.isfinite(policy_obj):
             raise NumericalError(f"non-finite SAC policy loss {-policy_obj}")
         grad_probs = -(qmin - alpha * (np.log(probs) + 1.0)) / b
         self.opt_actor.step(self.actor.backward(grad_probs))
 
-        self.polyak_update(self.target_q1, self.q1, cfg.target_update_rate)
-        self.polyak_update(self.target_q2, self.q2, cfg.target_update_rate)
+        self.polyak_update(self.target_q1, self.q1, SAC_TARGET_UPDATE_RATE)
+        self.polyak_update(self.target_q2, self.q2, SAC_TARGET_UPDATE_RATE)
         return {"q1_loss": q_losses[0], "q2_loss": q_losses[1],
                 "policy_loss": -policy_obj}
 
@@ -396,7 +385,8 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
     PPO runs one update cycle per collected episode; SAC takes one gradient
     step per environment step once the warmup has filled the buffer.
     Training episode e uses the sub-seed (seed, training-tag, e), disjoint
-    from the evaluation replication seeds.
+    from the evaluation replication seeds.  ``agent_config`` is a
+    :class:`SACConfig` for SAC (default warmup when ``None``); PPO ignores it.
     """
     if episodes < 1:
         raise ValueError(f"episode budget must be >= 1, got {episodes}")
@@ -409,22 +399,22 @@ def train(agent_kind: str, env_config: ScenarioConfig, episodes: int,
     best_net = None
 
     if agent_kind == "ppo":
-        agent = PPOAgent(env_config.obs_dim, agent_config or PPOConfig(), seed=seed)
+        agent = PPOAgent(env_config.obs_dim, seed=seed)
 
         def play(entropy) -> float:
             episode = agent.collect_episode(env, entropy)
             loss_history.append(agent.update(episode))
             return float(episode.rewards.sum())
     else:
-        cfg = agent_config or SACConfig()
-        agent = SACAgent(env_config.obs_dim, cfg, seed=seed)
+        warmup_steps = (agent_config or SACConfig()).warmup_steps
+        agent = SACAgent(env_config.obs_dim, seed=seed)
         total_steps = 0
 
         def learn(obs, a, res):
             nonlocal total_steps
             agent.buffer.push(obs[0], a[0], res.reward[0], res.observation[0], res.done)
             total_steps += 1
-            if total_steps > cfg.warmup_steps and agent.buffer.size >= cfg.batch_size:
+            if total_steps > warmup_steps and agent.buffer.size >= SAC_BATCH_SIZE:
                 loss_history.append(agent.update())
 
         def play(entropy) -> float:

@@ -347,6 +347,19 @@ def _ndtri_tails(p: np.ndarray) -> np.ndarray:
     return np.where(inside, d, np.where(y == 0.0, np.where(flip, np.inf, -np.inf), np.nan))
 
 
+# A rejection draw gives up once a block of this many uniforms a draw still
+# leaves a stream short.  Blocks double from a few uniforms a draw, so a
+# spec fails when its attempts are accepted less often than about once in
+# a few hundred (a Johnk beta with b huge, whose v^(1/b) rounds to 1,
+# accepts next to none); fitted weather shapes take a few attempts a draw.
+# Each short stream holds its block, so a month of 31 draws holds at most
+# 254 KB a replication when it fails.
+_MAX_UNIFORMS_PER_DRAW = 1024
+# Uniforms decided at once: a block of many streams is split into groups of
+# rows, so that its temporaries stay tens of MB.
+_MAX_PEEK = 1 << 20
+
+
 def _blockwise(streams: list, n: int, size: int, block) -> np.ndarray:
     """``n`` draws from each stream, shaped (len(streams), n), block by block.
 
@@ -355,16 +368,27 @@ def _blockwise(streams: list, n: int, size: int, block) -> np.ndarray:
     returns which rows hold ``n`` draws, and for those rows the uniforms
     the draws use and the draws.  Each finished stream is skipped past the
     uniforms it used, so it ends where drawing one uniform at a time
-    would; the rest are peeked again, twice as long.
+    would; the rest are peeked again, twice as long.  Raises
+    ``ParameterError`` once a block would exceed
+    ``_MAX_UNIFORMS_PER_DRAW * n`` uniforms a stream.
     """
     x = np.empty((len(streams), n))
     todo = np.arange(len(streams) if n else 0)
     while todo.size:
-        done, used, draws = block(np.array([streams[r].peek(size) for r in todo]))
-        for r, k in zip(todo[done].tolist(), used):
-            streams[r].skip(k)
-        x[todo[done]] = draws
-        todo, size = todo[~done], 2 * size
+        if size > _MAX_UNIFORMS_PER_DRAW * n:
+            raise ParameterError(f"fewer than {n} draws in a block of {size // 2:,} "
+                                 f"uniforms: it accepts too few attempts to draw")
+        # Rows are decided independently, so any grouping gives the same draws.
+        step = max(1, _MAX_PEEK // size)
+        short = np.empty(todo.size, dtype=bool)
+        for i in range(0, todo.size, step):
+            rows = todo[i:i + step]
+            done, used, draws = block(np.array([streams[r].peek(size) for r in rows]))
+            for r, k in zip(rows[done].tolist(), used):
+                streams[r].skip(k)
+            x[rows[done]] = draws
+            short[i:i + step] = ~done
+        todo, size = todo[short], 2 * size
     return x
 
 
@@ -559,7 +583,9 @@ def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> 
     ``streams`` is one :class:`~pvclean.rng.RandomStream`, giving shape
     (n,), or a list of them, giving (len(streams), n).  Row r then equals
     the draws from ``streams[r]`` alone, and leaves that stream where they
-    would.  A gamma or beta draws every stream in one numpy pass.
+    would.  A gamma or beta draws every stream in one numpy pass, and
+    raises ``ParameterError`` naming the spec when its attempts are
+    accepted too rarely to draw (:func:`_blockwise`).
     """
     one = isinstance(streams, RandomStream)
     rows, n = [streams] if one else list(streams), int(n)
@@ -567,12 +593,16 @@ def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> 
     if kind != _REJECTION:
         u = np.array([s.uniforms(n) for s in rows]).reshape(len(rows), n)
         x = _inverse(spec, ndtri(u) if kind == _NORMAL else u)
-    elif spec.family == "gamma":
-        x = p[0] + p[1] * _gamma_variates(p[2], rows, n)
     else:
-        lo, hi, a, b = p
-        draw = _cheng_variates if min(a, b) > 1.0 else _johnk_variates
-        x = lo + (hi - lo) * draw(a, b, rows, n)
+        try:
+            if spec.family == "gamma":
+                x = p[0] + p[1] * _gamma_variates(p[2], rows, n)
+            else:
+                lo, hi, a, b = p
+                draw = _cheng_variates if min(a, b) > 1.0 else _johnk_variates
+                x = lo + (hi - lo) * draw(a, b, rows, n)
+        except ParameterError as exc:
+            raise ParameterError(f"{spec.family}{p}: {exc}") from None
     if clamp:
         x = np.clip(x, spec.clamp_lo, spec.clamp_hi)
     return x[0] if one else x

@@ -20,7 +20,7 @@ from importlib.resources import as_file, files
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_days
+from .distributions import DistributionSpec, ParameterError, sample_days
 from .rng import RandomStream
 
 __all__ = [
@@ -51,9 +51,12 @@ class ModelFormatError(ValueError):
 
 
 class MonthlyWeatherModel:
-    """Immutable 12-month x 5-variable grid of distribution specs."""
+    """Immutable 12-month x 5-variable grid of distribution specs.
 
-    def __init__(self, table: dict):
+    ``source`` names the file the grid was loaded from, for error messages.
+    """
+
+    def __init__(self, table: dict, source: str | None = None):
         cells = [(month, var) for month in range(1, 13) for var in VARIABLES]
         extra = set(table) - set(cells)
         if extra:
@@ -64,6 +67,7 @@ class MonthlyWeatherModel:
             if not isinstance(table[(month, var)], DistributionSpec):
                 raise ModelFormatError(f"cell ({month}, {var}) is not a DistributionSpec")
         self._table = dict(table)
+        self.source = source
 
     def spec(self, month: int, variable: str) -> DistributionSpec:
         return self._table[(month, variable)]
@@ -118,7 +122,7 @@ def load_model(path) -> MonthlyWeatherModel:
                 raise ModelFormatError(f"{path}: line {lineno}: duplicate cell ({month}, {var})")
             table[(month, var)] = spec
     try:
-        return MonthlyWeatherModel(table)
+        return MonthlyWeatherModel(table, str(path))
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
@@ -142,7 +146,9 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     time, from that day's month with ``streams[r]``: the same values, and
     every stream left with the same ``counter`` and the same next uniform.
     The draws are :func:`~pvclean.distributions.sample_days` over the
-    twelve months' specs of each variable.
+    twelve months' specs of each variable.  A spec whose rejection sampler
+    accepts too rarely to draw raises ``ModelFormatError`` naming the
+    model's file.
     """
     if not (isinstance(n_days, (int, np.integer)) and not isinstance(n_days, bool)
             and n_days >= 0):
@@ -150,9 +156,12 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     if not streams:
         raise ValueError("need at least one replication")
     index = month_of_day(np.arange(n_days), start_month) - 1
-    return {var: sample_days([model.spec(m, var) for m in range(1, 13)], index,
-                             [s[var] for s in streams])
-            for var in VARIABLES}
+    try:
+        return {var: sample_days([model.spec(m, var) for m in range(1, 13)], index,
+                                 [s[var] for s in streams])
+                for var in VARIABLES}
+    except ParameterError as exc:
+        raise ModelFormatError(f"{model.source or 'weather model'}: {exc}") from None
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,

@@ -1,5 +1,7 @@
 """Agents: GAE oracle, surrogate gradient table, policies, training loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from pvclean import agents
 from pvclean.agents import (FixedIntervalPolicy, GreedyPolicy, PPOConfig,
-                            ReplayBuffer, SACConfig, clipped_surrogate_grad,
+                            ReplayBuffer, SACConfig, clipped_surrogate,
                             compute_gae, evaluate, train)
 from pvclean.environment import FEATURE_SCALES, CleaningEnv, Evaluation, ScenarioConfig
 from pvclean.nn import DenseNet
@@ -61,23 +63,20 @@ def test_gae_lambda_zero_is_td_residual():
 
 
 def test_clipped_surrogate_grad_branch_table():
-    eps = 0.2
-    ratios = np.array([1.0, 1.5, 1.5, 0.5, 0.5, 1.1])
+    assert agents.PPO_CLIP_EPSILON == 0.012
+    ratios = np.array([1.0, 1.5, 1.5, 0.5, 0.5, 1.01])
     advs = np.array([2.0, 2.0, -2.0, 2.0, -2.0, 3.0])
-    out = clipped_surrogate_grad(ratios, advs, eps)
+    objective, grad = clipped_surrogate(ratios, advs)
     # Ratio above 1+eps with positive advantage: clipped, zero gradient.
     # Same ratio with negative advantage: unclipped branch active.
-    expect = np.array([2.0, 0.0, -3.0, 1.0, 0.0, 3.3])
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    np.testing.assert_allclose(grad, [2.0, 0.0, -3.0, 1.0, 0.0, 3.03], atol=1e-12)
+    np.testing.assert_allclose(objective, [2.0, 2.024, -3.0, 1.0, -1.976, 3.03],
+                               atol=1e-12)
 
 
-def test_ppo_config_validation():
-    with pytest.raises(ValueError):
-        PPOConfig(clip_epsilon=0.0)
-    with pytest.raises(ValueError):
-        PPOConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        SACConfig(replay_capacity=10, batch_size=32)
+def test_agent_settings_are_constants_but_the_sac_warmup():
+    assert dataclasses.fields(PPOConfig()) == ()
+    assert [f.name for f in dataclasses.fields(SACConfig)] == ["warmup_steps"]
 
 
 def test_greedy_policy_argmax():
@@ -238,19 +237,18 @@ def test_ppo_short_training_runs_and_is_deterministic():
 
 def test_sac_short_training_runs():
     cfg = ScenarioConfig(**SMALL, seed=2)
-    sac_cfg = agents.SACConfig(warmup_steps=50, batch_size=32, hidden=32)
-    res = train("sac", cfg, episodes=1, seed=7, agent_config=sac_cfg)
+    # Ten gradient steps: days 356..365 of the year.
+    res = train("sac", cfg, episodes=1, seed=7, agent_config=SACConfig(warmup_steps=355))
     assert len(res.reward_curve) == 1
     assert np.isfinite(res.reward_curve[0])
-    assert len(res.loss_history) > 0
+    assert len(res.loss_history) == 10
     assert all(np.isfinite(list(d.values())).all() for d in res.loss_history)
 
 
 @pytest.mark.parametrize("kind", ["ppo", "sac"])
 def test_train_fails_on_a_non_finite_episode_reward(kind, nan_rewards):
-    agent_config = agents.SACConfig(hidden=16) if kind == "sac" else None
     with pytest.raises(agents.NumericalError):
-        train(kind, ScenarioConfig(**SMALL), episodes=2, agent_config=agent_config)
+        train(kind, ScenarioConfig(**SMALL), episodes=2)
 
 
 def test_best_net_tracks_best_smoothed_reward():
@@ -271,10 +269,9 @@ def _sac_state(agent):
 
 
 def test_sac_update_fails_before_any_weight_moves():
-    cfg = agents.SACConfig(batch_size=8, hidden=16)
-    agent = agents.SACAgent(6, cfg, seed=3)
+    agent = agents.SACAgent(6, seed=3)
     gen = np.random.default_rng(0)
-    for _ in range(cfg.batch_size):
+    for _ in range(agents.SAC_BATCH_SIZE):
         agent.buffer.push(gen.random(6), int(gen.integers(2)), float("nan"),
                           gen.random(6), False)
     before = _sac_state(agent)
@@ -289,7 +286,7 @@ def test_sac_update_fails_before_any_weight_moves():
 def test_collect_episode_matches_reference_loop():
     """The rollout-driven PPO episode equals a hand-written day loop."""
     cfg = ScenarioConfig(**SMALL, seed=2)
-    agent = agents.PPOAgent(cfg.obs_dim, PPOConfig(hidden=16), seed=5)
+    agent = agents.PPOAgent(cfg.obs_dim, seed=5)
     entropy = (5, 1, 0)
     episode = agent.collect_episode(CleaningEnv(cfg), entropy)
 

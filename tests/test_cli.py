@@ -506,10 +506,10 @@ def test_count_bounds_admit_thirty_replications_of_the_longest_horizon(tmp_path,
         assert (one_error_line(capsys) == "error: reached") == admitted, argv
 
 
-@pytest.mark.parametrize("shapes", ["1e155;1e155", "1e308;1e308"])
-def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, shapes):
-    # 2ab = inf: Cheng BB's constants were 1/0 (a ZeroDivisionError) at
-    # 1e155 and NaN at 1e308, where the draw never accepted an attempt.
+def simopt_with_humidity_beta(tmp_path, shapes):
+    """The capped ``simopt`` run of a config whose model has February's
+    relative humidity as beta(0, 100, ``shapes``); returns the model's path
+    and the config's."""
     model = tmp_path / "model.csv"
     save_model(default_model(), model)
     model.write_text("".join(
@@ -520,5 +520,22 @@ def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, shapes):
     save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
     proc = run_capped(["simopt", "--case", path, "--reps", "2", "--zmax", "10",
                        "--out", tmp_path / "out"], tmp_path)
-    line = capped_error_line(proc)
+    return capped_error_line(proc), model, path
+
+
+@pytest.mark.parametrize("shapes", ["1e155;1e155", "1e308;1e308"])
+def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, shapes):
+    # 2ab = inf: Cheng BB's constants were 1/0 (a ZeroDivisionError) at
+    # 1e155 and NaN at 1e308, where the draw never accepted an attempt.
+    line, model, path = simopt_with_humidity_beta(tmp_path, shapes)
     assert str(model) in line and "2ab finite" in line and str(path) in line
+
+
+def test_johnk_beta_that_accepts_too_rarely_is_an_error(tmp_path):
+    # b = 1e300: v^(1/b) rounds to 1, so no attempt is accepted.  The draw
+    # gives up at its block bound, after the scenario has loaded, and the
+    # weather layer names the model's file.
+    line, model, _ = simopt_with_humidity_beta(tmp_path, "0.5;1e300")
+    assert line == (f"error: {model}: beta(0.0, 100.0, 0.5, 1e+300): fewer than 28 draws "
+                    f"in a block of 14,848 uniforms: it accepts too few attempts to draw")
+    assert list((tmp_path / "out").iterdir()) == []

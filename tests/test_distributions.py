@@ -6,7 +6,12 @@ closed forms and KS distance against the CDF oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import pvclean
 from pvclean import distributions
 from pvclean.distributions import (_EXP_M2, DistributionSpec, ParameterError, _c,
                                    _cheng_accepts, _cheng_constants, _cheng_variates, sample_many)
@@ -641,3 +647,25 @@ def test_johnk_underflow_draws_from_logs():
     expect = johnk_one_by_one(spec, ListStream(head), 3, clamp=False)
     assert x.tobytes() == expect.tobytes()
     assert 0.0 < x[0] < 1.0
+
+
+def test_rejection_draw_that_accepts_too_rarely_is_an_error():
+    # Johnk with b = 1e300: v^(1/b) rounds to 1 for every 53-bit uniform, so
+    # no attempt is accepted, and the block used to double until memory ran
+    # out.  Run capped at 1.5 GB of address space and 60 s.
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+        from pvclean.distributions import DistributionSpec, ParameterError, sample_many
+        from pvclean.rng import RandomStream
+        try:
+            sample_many(DistributionSpec("beta", (0, 1, 0.5, 1e300)), RandomStream(0), 2)
+        except ParameterError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("beta(0.0, 1.0, 0.5, 1e+300): fewer than 2 draws in a block of "
+                           "1,536 uniforms: it accepts too few attempts to draw\n")
