@@ -221,23 +221,29 @@ def cmd_trace(args) -> int:
 
 def _read_summary(path: Path, kind: str) -> dict | None:
     """The data row of the ``kind`` summary CSV at ``path`` by column, each
-    column of ``_SUMMARIES[kind]`` parsed with its type; None if there is no
-    file."""
+    column of ``_SUMMARIES[kind]`` parsed with its type and every float
+    finite; None if there is no file."""
     if not path.exists():
         return None
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        try:
+            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path}: no data row under the header")
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     for column, parse in _SUMMARIES[kind].items():
         if column not in row:
             raise ValueError(f"{path}: no {column} column")
+        text = row[column]
         try:
-            row[column] = parse(row[column])
+            row[column] = parse(text)
         except ValueError:
-            raise ValueError(f"{path}: {column} {row[column]!r} does not parse "
+            raise ValueError(f"{path}: {column} {text!r} does not parse "
                              f"as {parse.__name__}") from None
+        if parse is float and not math.isfinite(row[column]):
+            raise ValueError(f"{path}: {column} {text!r} is not finite")
     return row
 
 

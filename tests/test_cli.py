@@ -404,7 +404,7 @@ EVAL_SUMMARY = "case,mean_cleanings,mean_total_cost\nS1exp,12.0,20.0\n"
 @pytest.mark.parametrize("simopt_summary, names", [
     ("case,z_star,mean_cleanings\nS1exp,36,10.0\n", "S1exp_simopt_summary.csv"),
     (SIMOPT_SUMMARY.format(cost="0.0"), "S1exp_simopt_summary.csv"),
-    (SIMOPT_SUMMARY.format(cost="nan"), "report.csv"),
+    (SIMOPT_SUMMARY.format(cost="nan"), "S1exp_simopt_summary.csv"),
     ("z_star,mean_cleanings,mean_total_cost\n36,10.0,24.8\n", "S1exp_simopt_summary.csv"),
 ], ids=["no-cost-column", "zero-cost", "nan-cost", "no-case-column"])
 def test_bad_summary_is_a_report_error(tmp_path, capsys, simopt_summary, names):

@@ -8,14 +8,25 @@ either exit 0 with a finite summary CSV or exit 1 with exactly one
 * a 1-year scenario config: a field swapped for another JSON type or for a
   number it must reject or survive;
 * the weather-model CSV a config points to: a row cut short, deleted or
-  duplicated, a parameter made text, NaN, inf, 1e400 or empty, an unknown
-  family, the wrong arity, or clamps out of order;
+  duplicated, a parameter made text, NaN, inf, 1e400, 1e308, 1e-308 or
+  empty, an unknown family, the wrong arity, or clamps out of order;
 * a policy file: a weight made nan, inf or text, a line dropped or
   duplicated, the dims or activations line altered, or the file replaced
   by a well-formed net of the wrong input or output width.
 
+``pvclean report`` reads a simopt or eval summary CSV with one mutation (a
+column dropped or renamed; a value made text, nan, inf, 1e400 or empty; the
+data row removed), and must exit 2 with a well-formed report or exit 1 with
+one ``error:`` line naming the summary.
+
 Each file may also be truncated at a random byte, get one 0xff byte, or
 be replaced by a directory.
+
+Each subcommand's valid argv gets one mutation: a flag's value made text,
+0, negative, a float, empty or past its bound; a flag dropped, repeated
+or unknown; or a junk ``interval:`` policy.  It must exit 0 with
+well-formed outputs, exit 1 with one ``error:`` line, or exit 2 after
+argparse's usage and ``error:`` lines (argparse's own contract, kept).
 """
 
 import contextlib
@@ -29,10 +40,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import run_capped
 
 from pvclean import cli
 from pvclean.environment import preset, save_config
-from pvclean.nn import DenseNet, save_net
+from pvclean.nn import DenseNet, load_net, save_net
 from pvclean.soiling import SoilingParams
 from pvclean.weather import default_model, save_model
 
@@ -72,7 +84,8 @@ MODEL_MUTATIONS = st.one_of(
     st.tuples(st.just("delete"), ROW),
     st.tuples(st.just("duplicate"), ROW),
     st.tuples(st.just("param"), ROW, st.integers(0, 3),
-              st.sampled_from(["abc", "nan", "NaN", "inf", "-inf", "1e400", ""])),
+              st.sampled_from(["abc", "nan", "NaN", "inf", "-inf", "1e400", "", "1e308",
+                               "1e-308"])),
     st.tuples(st.just("family"), ROW, st.sampled_from(["cauchy", "", "normal", "beta"])),
     st.tuples(st.just("arity"), ROW, st.sampled_from([-1, 1])),
     st.tuples(st.just("clamps"), ROW, st.booleans()),
@@ -292,3 +305,179 @@ def test_inadmissible_cubic_is_one_error_line(cubic):
         mutate(path, ("field", ("soiling", "cubic"), list(cubic)))
         rc, err = run_eval(path, Path(tmp) / "out")
     assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: ") and "cubic" in err[0]
+
+
+# Each summary's columns and types come from the table that cli writes and
+# reads them by; a valid row holds one value of each type.
+SUMMARY_VALUES = {str: "S1exp", int: 36, float: 24.8}
+COLUMN = st.integers(0, 10)
+SUMMARY_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), COLUMN),
+    st.tuples(st.just("rename"), COLUMN, st.sampled_from(["", "x", *cli._SUMMARIES["simopt"]])),
+    st.tuples(st.just("value"), COLUMN, st.sampled_from(["abc", "nan", "inf", "-inf", "1e400", ""])),
+    st.tuples(st.just("header-only")),
+    ANY_FILE,
+)
+
+
+def write_summaries(directory: Path) -> None:
+    """A valid S1exp summary of each kind in ``directory``."""
+    for kind, columns in cli._SUMMARIES.items():
+        cli._write_csv(cli._summary_path(directory, "S1exp", kind), ["# case=S1exp"],
+                       list(columns), [[SUMMARY_VALUES[t] for t in columns.values()]])
+
+
+def mutate_summary(path: Path, mutation) -> None:
+    """Apply one of ``SUMMARY_MUTATIONS`` to a summary CSV."""
+    if mutate_any(path, mutation):
+        return
+    kind, *args = mutation
+    comment, header, row = [line.split(",") for line in path.read_text().splitlines()]
+    if kind == "header-only":
+        row = None
+    else:
+        at = args[0] % len(header)
+        if kind == "drop":
+            del header[at], row[at]
+        elif kind == "rename":
+            header[at] = args[1]
+        else:
+            row[at] = args[1]
+    path.write_text("".join(",".join(line) + "\n" for line in (comment, header, row) if line))
+
+
+def run_main(argv) -> tuple:
+    """``cli.main(argv)`` in-process: its exit code, argparse's included, and
+    its stderr lines."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, stderr.getvalue().splitlines()
+
+
+def assert_well_formed(out: Path) -> None:
+    """Every CSV in ``out`` has rows as wide as its header and finite
+    numbers, and every policy file loads."""
+    for path in out.glob("*.csv"):
+        rows = [ln.split(",") for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) >= 2 and {len(r) for r in rows} == {len(rows[0])}, path
+        for value in (v for r in rows[1:] for v in r):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(value)), path
+    for path in out.glob("*_policy.txt"):
+        load_net(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(cli._SUMMARIES)), mutation=SUMMARY_MUTATIONS)
+# Faults this harness pins: a non-finite cost was blamed on report.csv,
+# and a non-UTF-8 summary's error did not name the file.
+@example(kind="simopt", mutation=("value", 3, "nan"))
+@example(kind="eval", mutation=("value", 2, "1e400"))
+@example(kind="eval", mutation=("byte", 3))
+def test_mutated_summary_gives_a_report_or_one_error_line(kind, mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        runs, out = Path(tmp) / "runs", Path(tmp) / "out"
+        runs.mkdir()
+        write_summaries(runs)
+        mutated = cli._summary_path(runs, "S1exp", kind)
+        mutate_summary(mutated, mutation)
+        rc, err = run_main(["report", "--dir", runs, "--out", out])
+        if rc == 2:
+            assert_well_formed(out)
+            assert (out / "report.csv").exists()
+        else:
+            assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
+            assert str(mutated) in err[0], err
+            assert not (out / "report.csv").exists()
+
+
+# Each subcommand's valid argv: its positionals and its flags with values,
+# all of them quick on the 1-year case written as CASE.  --out is never
+# mutated, so nothing is written outside the test's directory.
+CASE, RUNS = "case.json", "runs"
+ARGVS = {
+    "simopt": ([], {"--case": CASE, "--horizon": "1", "--seed": "0", "--reps": "2",
+                    "--zmax": "10"}),
+    "train": (["ppo"], {"--case": CASE, "--horizon": "1", "--seed": "0", "--episodes": "1"}),
+    "eval": (["interval:7"], {"--case": CASE, "--horizon": "1", "--seed": "0",
+                              "--episodes": "2"}),
+    "trace": (["interval:7"], {"--case": CASE, "--horizon": "1", "--seed": "0"}),
+    "report": ([], {"--dir": RUNS}),
+}
+# Past each count's bound; the bound checks run before anything is
+# allocated, but these cases run capped in case one does not.
+PAST_BOUND = {"--horizon": "1000000", "--seed": str(10**30), "--reps": "100000000",
+              "--zmax": "1000000000", "--episodes": "100000000"}
+# train's --episodes defaults to 150 episodes, too long for this harness.
+NOT_DROPPED = {("train", "--episodes")}
+JUNK_INTERVALS = st.sampled_from(
+    ["interval:", "interval:abc", "interval:0", "interval:-3", "interval:1.5", "interval:7:8",
+     "interval:1e3", "interval: 7", "interval:99999999999999999999"]
+) | TEXT.map(lambda t: "interval:" + t)
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A subcommand's valid argv with one mutation, and whether it runs capped."""
+    command = draw(st.sampled_from(list(ARGVS)))
+    positionals, flags = ARGVS[command]
+    flags = list(flags.items())
+    kinds = ["value", "drop", "repeat", "unknown"] + (
+        ["interval"] if positionals[:1] == ["interval:7"] else [])
+    kind = draw(st.sampled_from(kinds))
+    capped = False
+    if kind == "interval":
+        positionals = [draw(JUNK_INTERVALS)]
+    elif kind == "unknown":
+        flags.insert(draw(st.integers(0, len(flags))),
+                     (draw(st.sampled_from(["--bogus", "-x", "--bogus=1"])), None))
+    else:
+        at = draw(st.integers(0, len(flags) - 1))
+        flag, value = flags[at]
+        if kind == "value":
+            value = draw(st.sampled_from(["abc", "0", "-1", "1.5", "", "past"]))
+            capped = value == "past"
+            flags[at] = (flag, PAST_BOUND.get(flag, "abc") if capped else value)
+        elif kind == "drop" and (command, flag) not in NOT_DROPPED:
+            del flags[at]
+        elif kind == "repeat":
+            flags.insert(at, (flag, value))
+    argv = [command, *positionals]
+    for flag, value in flags:
+        argv += [flag] if value is None else [flag, value]
+    return argv, capped
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_argvs())
+@example(case=(["simopt", "--case", CASE, "--reps", "abc"], False))
+@example(case=(["eval", "interval:", "--case", CASE, "--horizon", "1"], False))
+@example(case=(["simopt", "--case", CASE, "--horizon", "1", "--reps", "100000000"], True))
+def test_mutated_argv_exits_0_1_or_2(case):
+    argv, capped = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_config(VALID, tmp / CASE)
+        (tmp / RUNS).mkdir()
+        write_summaries(tmp / RUNS)
+        out = tmp / "out"
+        # Relative paths (CASE, RUNS) resolve against tmp in both routes.
+        argv = [tmp / a if a in (CASE, RUNS) else a for a in argv] + ["--out", out]
+        if capped:
+            proc = run_capped(argv, tmp)
+            rc, err = proc.returncode, proc.stderr.splitlines()
+        else:
+            rc, err = run_main(argv)
+        if rc == 0 or (rc == 2 and argv[0] == "report" and not err):
+            assert err == [] and out.is_dir()
+            assert_well_formed(out)
+        elif rc == 1:
+            assert len(err) == 1 and err[0].startswith("error:"), err
+        else:
+            assert rc == 2 and err[0].startswith("usage: pvclean"), (rc, err)
+            assert err[-1].startswith("pvclean") and ": error: " in err[-1], err
+            assert not out.exists()
