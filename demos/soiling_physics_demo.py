@@ -28,7 +28,9 @@ depositions = [0.05, 0.03, -0.20, 0.04, 0.02, 0.06, -0.01]
 cleaned = [False, False, False, True, False, False, False]
 s = 0.0
 for day, (d, c) in enumerate(zip(depositions, cleaned)):
-    s = accumulate(s, calibrate(d, 55.0), c, params.beta_residue)
+    # As in CleaningEnv.step: a clean empties the panel in the morning, and
+    # that day's dust then lands on it.
+    s = accumulate(0.0 if c else s, calibrate(d, 55.0), False, params.beta_residue)
     note = "cleaned" if c else ""
     print(f"  day {day}: soiling {s:.4f} g/m2 {note}")
 
