@@ -96,11 +96,14 @@ def _write_csv(path: Path, header_lines, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
-# Each summary CSV's columns, in file order, and the type ``report`` parses
-# each one as; ``simopt`` and ``eval`` write one row of them.
+# Each summary CSV's columns, in file order, with the type ``report`` parses
+# each one as and the least value a run can write (None for text);
+# ``simopt`` and ``eval`` write one row of them.
 _SUMMARIES = {
-    "simopt": {"case": str, "z_star": int, "mean_cleanings": float, "mean_total_cost": float},
-    "eval": {"case": str, "mean_cleanings": float, "mean_total_cost": float},
+    "simopt": {"case": (str, None), "z_star": (int, 1), "mean_cleanings": (float, 0.0),
+               "mean_total_cost": (float, 0.0)},
+    "eval": {"case": (str, None), "mean_cleanings": (float, 0.0),
+             "mean_total_cost": (float, 0.0)},
 }
 
 
@@ -221,8 +224,8 @@ def cmd_trace(args) -> int:
 
 def _read_summary(path: Path, kind: str) -> dict | None:
     """The data row of the ``kind`` summary CSV at ``path`` by column, each
-    column of ``_SUMMARIES[kind]`` parsed with its type and every float
-    finite; None if there is no file."""
+    column of ``_SUMMARIES[kind]`` parsed with its type, every float finite
+    and no number below its column's least value; None if there is no file."""
     if not path.exists():
         return None
     with open(path) as fh:
@@ -233,7 +236,7 @@ def _read_summary(path: Path, kind: str) -> dict | None:
     if len(lines) < 2:
         raise ValueError(f"{path}: no data row under the header")
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    for column, parse in _SUMMARIES[kind].items():
+    for column, (parse, least) in _SUMMARIES[kind].items():
         if column not in row:
             raise ValueError(f"{path}: no {column} column")
         text = row[column]
@@ -244,6 +247,8 @@ def _read_summary(path: Path, kind: str) -> dict | None:
                              f"as {parse.__name__}") from None
         if parse is float and not math.isfinite(row[column]):
             raise ValueError(f"{path}: {column} {text!r} is not finite")
+        if least is not None and row[column] < least:
+            raise ValueError(f"{path}: {column} {text!r} is less than {least}")
     return row
 
 
@@ -253,15 +258,18 @@ def cmd_report(args) -> int:
         raise NotADirectoryError(f"--dir {directory}: not a directory")
     rows = []
     for name in PRESETS:
-        sim, ev = (_read_summary(_summary_path(directory, name, kind), kind) for kind in _SUMMARIES)
+        sim_path, ev_path = (_summary_path(directory, name, kind) for kind in ("simopt", "eval"))
+        sim, ev = _read_summary(sim_path, "simopt"), _read_summary(ev_path, "eval")
         if sim is None or ev is None:
             rows.append((name, "", "", "", "", "", "", "incomplete"))
             continue
         a, b = sim["mean_total_cost"], ev["mean_total_cost"]
         if a == 0.0:
-            raise ValueError(f"{_summary_path(directory, name, 'simopt')}: mean_total_cost "
-                             f"is 0, so no saving is defined")
+            raise ValueError(f"{sim_path}: mean_total_cost is 0, so no saving is defined")
         saving = (a - b) / a
+        if not math.isfinite(saving):
+            raise ValueError(f"{sim_path} and {ev_path}: the cost saving ({a!r} - {b!r}) "
+                             f"/ {a!r} is not finite")
         rows.append((name, sim["z_star"], sim["mean_cleanings"], a,
                      ev["mean_cleanings"], b, saving, "ok"))
     out = _out_dir(args)

@@ -4,6 +4,14 @@ Supports the affine chains used by the agents: ReLU hidden layers and a
 linear or softmax head, float64 throughout.  Gradients are computed
 analytically per layer; an Adam optimizer and a bit-exact text persistence
 format round out the module.  Nothing here is a general autodiff system.
+
+Each pass allocates one array per layer: the bias, the activation and the
+ReLU mask are applied in place to the array the layer's matmul returned,
+never to an input, an earlier output or a cached activation.  The
+elementwise steps are the same operations on the same values as an
+out-of-place chain, so the bits do not move (``tests/oracles.py`` keeps
+that chain).  ``backward`` skips the gradient with respect to the network's
+input, which no caller reads.
 """
 
 from __future__ import annotations
@@ -68,15 +76,14 @@ class DenseNet:
             raise ValueError(f"input dim {a.shape[1]} != {self.in_dim}")
         cache = [a]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w.T + b
+            a = a @ w.T
+            a += b
             if act == "relu":
-                a = np.maximum(z, 0.0)
-            elif act == "linear":
-                a = z
-            else:  # softmax
-                z = z - z.max(axis=1, keepdims=True)
-                e = np.exp(z)
-                a = e / e.sum(axis=1, keepdims=True)
+                np.maximum(a, 0.0, out=a)
+            elif act == "softmax":
+                a -= a.max(axis=1, keepdims=True)
+                np.exp(a, out=a)
+                a /= a.sum(axis=1, keepdims=True)
             cache.append(a)
         self._cache = cache
         return a[0] if squeeze else a
@@ -93,16 +100,21 @@ class DenseNet:
         if g.ndim == 1:
             g = g.reshape(1, -1)
         grads = []
-        for w, act, a_in, a_out in reversed(list(zip(self.weights, self.activations,
-                                                     self._cache, self._cache[1:]))):
+        top = len(self.weights) - 1
+        for i in range(top, -1, -1):
+            w, act, a_in, a_out = (self.weights[i], self.activations[i],
+                                   self._cache[i], self._cache[i + 1])
             if act == "relu":
-                dz = g * (a_out > 0.0)
+                # Below the top layer ``g`` is this pass's own ``dz @ w``; the
+                # caller's grad_out is masked into a copy.
+                dz = g * (a_out > 0.0) if i == top else np.multiply(g, a_out > 0.0, out=g)
             elif act == "linear":
                 dz = g
             else:  # softmax jacobian: dz = p * (g - sum(g * p))
                 dz = a_out * (g - (g * a_out).sum(axis=1, keepdims=True))
             grads[:0] = (dz.T @ a_in, dz.sum(axis=0))
-            g = dz @ w
+            if i:  # no caller reads the gradient with respect to the input
+                g = dz @ w
         return grads
 
     def copy(self) -> "DenseNet":

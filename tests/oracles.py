@@ -11,6 +11,11 @@ and of the kernel.  ``ndtri1`` is the kernel's scalar form, the same
 operations on Python floats.  ``spec_is_invalid`` writes out
 ``DistributionSpec``'s parameter rules family by family, independently of
 the family table that the class reads them from.
+
+``dense_forward`` and ``dense_backward`` are ``DenseNet``'s passes as an
+out-of-place chain, one new array per step, with the input gradient of
+every layer computed; the network's in-place passes must equal them bit
+for bit.
 """
 
 import math
@@ -192,3 +197,40 @@ def spec_is_invalid(family: str, params: tuple, clamp_lo: float, clamp_hi: float
     if fam == "johnsonsb" and (p[1] <= 0 or p[3] <= 0):
         return True
     return not clamp_lo < clamp_hi
+
+
+def dense_forward(net, x) -> tuple:
+    """``net``'s output on the rows ``x`` (shape (n, in_dim)) and the list of
+    activations, input first."""
+    a = np.asarray(x, dtype=float)
+    cache = [a]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = a @ w.T + b
+        if act == "relu":
+            a = np.maximum(z, 0.0)
+        elif act == "linear":
+            a = z
+        else:  # softmax
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            a = e / e.sum(axis=1, keepdims=True)
+        cache.append(a)
+    return a, cache
+
+
+def dense_backward(net, cache, grad_out) -> list:
+    """Parameter gradients, aligned with ``net.parameters()``, of a loss with
+    dL/d(output) ``grad_out`` (shape (n, out_dim)) at the activations ``cache``."""
+    g = np.asarray(grad_out, dtype=float)
+    grads = []
+    for w, act, a_in, a_out in reversed(list(zip(net.weights, net.activations,
+                                                 cache, cache[1:]))):
+        if act == "relu":
+            dz = g * (a_out > 0.0)
+        elif act == "linear":
+            dz = g
+        else:  # softmax jacobian: dz = p * (g - sum(g * p))
+            dz = a_out * (g - (g * a_out).sum(axis=1, keepdims=True))
+        grads[:0] = (dz.T @ a_in, dz.sum(axis=0))
+        g = dz @ w
+    return grads

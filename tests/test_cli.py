@@ -431,6 +431,42 @@ def test_unparsable_summary_value_is_a_report_error(tmp_path, capsys, simopt_sum
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("kind, column, value", [
+    ("simopt", "z_star", "0"),
+    ("simopt", "z_star", "-3"),
+    ("simopt", "mean_cleanings", "-5.0"),
+    ("simopt", "mean_total_cost", "-24.8"),
+    ("eval", "mean_cleanings", "-0.5"),
+    ("eval", "mean_total_cost", "-1.0"),
+])
+def test_summary_value_no_run_writes_is_a_report_error(tmp_path, capsys, kind, column, value):
+    """z_star is at least 1, and counts and costs are at least 0."""
+    rows = {"simopt": {"case": "S1exp", "z_star": "36", "mean_cleanings": "10.0",
+                       "mean_total_cost": "24.8"},
+            "eval": {"case": "S1exp", "mean_cleanings": "12.0", "mean_total_cost": "20.0"}}
+    rows[kind][column] = value
+    for k, row in rows.items():
+        (tmp_path / f"S1exp_{k}_summary.csv").write_text(
+            ",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    rc = run(["report", "--dir", tmp_path, "--out", tmp_path])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert str(tmp_path / f"S1exp_{kind}_summary.csv") in line and column in line, line
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_non_finite_saving_names_both_summaries(tmp_path, capsys):
+    """Finite costs whose saving overflows are blamed on the two summaries."""
+    sim, ev = tmp_path / "S1exp_simopt_summary.csv", tmp_path / "S1exp_eval_summary.csv"
+    sim.write_text(SIMOPT_SUMMARY.format(cost="1e-308"))
+    ev.write_text("case,mean_cleanings,mean_total_cost\nS1exp,12.0,1e308\n")
+    rc = run(["report", "--dir", tmp_path, "--out", tmp_path])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert str(sim) in line and str(ev) in line and "report.csv" not in line, line
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_report_dir_that_is_not_a_directory_is_an_error(tmp_path, capsys):
     rc = run(["report", "--dir", tmp_path / "missing", "--out", tmp_path])
     assert rc == 1

@@ -15,9 +15,9 @@ either exit 0 with a finite summary CSV or exit 1 with exactly one
   by a well-formed net of the wrong input or output width.
 
 ``pvclean report`` reads a simopt or eval summary CSV with one mutation (a
-column dropped or renamed; a value made text, nan, inf, 1e400 or empty; the
-data row removed), and must exit 2 with a well-formed report or exit 1 with
-one ``error:`` line naming the summary.
+column dropped or renamed; a value made text, nan, inf, 1e400, 1e308,
+1e-308, 0, negative or empty; the data row removed), and must exit 2 with a
+well-formed report or exit 1 with one ``error:`` line naming the summary.
 
 Each file may also be truncated at a random byte, get one 0xff byte, or
 be replaced by a directory.
@@ -314,7 +314,8 @@ COLUMN = st.integers(0, 10)
 SUMMARY_MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), COLUMN),
     st.tuples(st.just("rename"), COLUMN, st.sampled_from(["", "x", *cli._SUMMARIES["simopt"]])),
-    st.tuples(st.just("value"), COLUMN, st.sampled_from(["abc", "nan", "inf", "-inf", "1e400", ""])),
+    st.tuples(st.just("value"), COLUMN, st.sampled_from(
+        ["abc", "nan", "inf", "-inf", "1e400", "", "1e308", "1e-308", "0", "-0.0", "-1", "-5.0"])),
     st.tuples(st.just("header-only")),
     ANY_FILE,
 )
@@ -324,7 +325,7 @@ def write_summaries(directory: Path) -> None:
     """A valid S1exp summary of each kind in ``directory``."""
     for kind, columns in cli._SUMMARIES.items():
         cli._write_csv(cli._summary_path(directory, "S1exp", kind), ["# case=S1exp"],
-                       list(columns), [[SUMMARY_VALUES[t] for t in columns.values()]])
+                       list(columns), [[SUMMARY_VALUES[t] for t, _ in columns.values()]])
 
 
 def mutate_summary(path: Path, mutation) -> None:
@@ -373,11 +374,17 @@ def assert_well_formed(out: Path) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(list(cli._SUMMARIES)), mutation=SUMMARY_MUTATIONS)
-# Faults this harness pins: a non-finite cost was blamed on report.csv,
-# and a non-UTF-8 summary's error did not name the file.
+# Faults this harness pins: a non-finite cost, or a finite one that makes
+# the saving non-finite, was blamed on report.csv; a non-UTF-8 summary's
+# error did not name the file; a z_star of 0 and a negative count or cost
+# made a report.
 @example(kind="simopt", mutation=("value", 3, "nan"))
 @example(kind="eval", mutation=("value", 2, "1e400"))
+@example(kind="simopt", mutation=("value", 3, "1e-308"))
 @example(kind="eval", mutation=("byte", 3))
+@example(kind="simopt", mutation=("value", 1, "0"))
+@example(kind="simopt", mutation=("value", 2, "-5.0"))
+@example(kind="eval", mutation=("value", 2, "-1"))
 def test_mutated_summary_gives_a_report_or_one_error_line(kind, mutation):
     with tempfile.TemporaryDirectory() as tmp:
         runs, out = Path(tmp) / "runs", Path(tmp) / "out"
@@ -388,7 +395,11 @@ def test_mutated_summary_gives_a_report_or_one_error_line(kind, mutation):
         rc, err = run_main(["report", "--dir", runs, "--out", out])
         if rc == 2:
             assert_well_formed(out)
-            assert (out / "report.csv").exists()
+            # Only values a run can write reach the report: z_star at least
+            # 1, counts and costs at least 0.
+            rows = (out / "report.csv").read_text().splitlines()[2:]
+            for row in (r.split(",") for r in rows if r.endswith(",ok")):
+                assert int(row[1]) >= 1 and min(map(float, row[2:6])) >= 0.0, row
         else:
             assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
             assert str(mutated) in err[0], err

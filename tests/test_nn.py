@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import dense_backward, dense_forward
 from pvclean.nn import Adam, DenseNet, clip_global_norm, load_net, save_net
 
 
@@ -190,6 +191,73 @@ def test_save_load_net_is_the_identity(dims, softmax, seed, data):
     for a, b in zip(net.parameters(), loaded.parameters()):
         assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
     assert np.array_equal(_bits(net.forward(x)), _bits(loaded.forward(x)))
+
+
+@st.composite
+def dense_cases(draw):
+    """A seeded net of 2 or 3 layers with non-zero biases, its input rows
+    (a single vector, one row or 2-600 rows) and a dL/d(output) of its
+    output's shape.  Hidden layers are relu or linear; the head is relu,
+    linear or softmax."""
+    n_layers = draw(st.integers(2, 3))
+    dims = draw(st.lists(st.integers(1, 8) | st.sampled_from([64, 256]),
+                         min_size=n_layers + 1, max_size=n_layers + 1))
+    hidden = draw(st.lists(st.sampled_from(["relu", "linear"]),
+                           min_size=n_layers - 1, max_size=n_layers - 1))
+    acts = [*hidden, draw(st.sampled_from(["relu", "linear", "softmax"]))]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    net = DenseNet(dims, acts, seed=seed)
+    gen = np.random.default_rng(seed)
+    for b in net.biases:
+        b[:] = gen.normal(0.0, 0.5, size=b.shape)
+    shape = draw(st.sampled_from([(dims[0],), (1, dims[0])])
+                 | st.integers(2, 600).map(lambda n: (n, dims[0])))
+    x = gen.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 30.0])), size=shape)
+    rows = 1 if len(shape) == 1 else shape[0]
+    grad_out = gen.normal(size=(rows, dims[-1]))
+    return net, x, grad_out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dense_cases())
+def test_passes_equal_the_out_of_place_oracle(case):
+    """forward's output and cache and backward's gradients are bit for bit
+    the oracle's, which runs today's chain with one new array per step."""
+    net, x, grad_out = case
+    out = net.forward(x)
+    expect, cache = dense_forward(net, np.atleast_2d(x))
+    assert np.array_equal(_bits(np.atleast_2d(out)), _bits(expect))
+    assert len(net._cache) == len(cache)
+    for got, want in zip(net._cache, cache):
+        assert np.array_equal(_bits(got), _bits(want))
+    grads = net.backward(grad_out)
+    oracle = dense_backward(net, cache, grad_out)
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    for got, want in zip(grads, oracle):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=dense_cases(), second=st.booleans())
+def test_passes_write_only_their_own_arrays(case, second):
+    """forward never writes to its input or to an earlier call's output, and
+    backward never writes to grad_out or to the cached activations."""
+    net, x, grad_out = case
+    x_bits = _bits(x).copy()
+    out = net.forward(x)
+    out_bits = _bits(out).copy()
+    if second:
+        net.forward(x + 1.0)
+        assert np.array_equal(_bits(out), out_bits)
+        net.forward(x)
+    cache_bits = [_bits(a).copy() for a in net._cache]
+    g_bits = _bits(grad_out).copy()
+    net.backward(grad_out)
+    assert np.array_equal(_bits(grad_out), g_bits)
+    assert np.array_equal(_bits(x), x_bits)
+    for a, bits in zip(net._cache, cache_bits):
+        assert np.array_equal(_bits(a), bits)
+    assert np.array_equal(_bits(out), out_bits)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
