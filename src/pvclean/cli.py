@@ -77,7 +77,8 @@ def _config_header(cfg: ScenarioConfig, extra: dict | None = None) -> list:
         f"# reward_mode={cfg.reward_mode} normalization_mode={cfg.normalization_mode}",
     ]
     for k, v in (extra or {}).items():
-        lines.append(f"# {k}={v}")
+        # A policy path may hold a line break; escaped, it stays one line.
+        lines.append(f"# {k}=" + "\\n".join(str(v).splitlines()))
     return lines
 
 
@@ -170,11 +171,12 @@ def cmd_train(args) -> int:
 
 def _load_policy(spec: str, cfg: ScenarioConfig):
     if spec.startswith("interval:"):
-        try:
-            z = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"{spec!r}: interval:Z needs an integer Z") from None
-        return agents.FixedIntervalPolicy(z, cfg)
+        # ASCII digits only: int() would also take whitespace, '_' and other
+        # scripts' digits, and a line break would then reach the CSV header.
+        text = spec.split(":", 1)[1]
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(f"{spec!r}: interval:Z needs an integer Z")
+        return agents.FixedIntervalPolicy(int(text), cfg)
     net = load_net(spec)
     if (net.layer_dims[0], net.layer_dims[-1]) != (cfg.obs_dim, 2):
         raise ValueError(f"{spec}: dims {list(net.layer_dims)}, but this scenario needs "

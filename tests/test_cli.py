@@ -268,6 +268,25 @@ def test_non_integer_interval_policy_is_an_error(tmp_path, capsys):
         "error: 'interval:abc': interval:Z needs an integer Z"]
 
 
+@pytest.mark.parametrize("z", ["\n1", " 7", "1_0", "\u0661", "7\u2028"])
+def test_interval_other_than_ascii_digits_is_an_error(tmp_path, capsys, z):
+    rc = run(["eval", "interval:" + z, "--case", "S1exp", *ARGS, "--out", tmp_path])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {'interval:' + z!r}: interval:Z needs an integer Z"]
+
+
+def test_policy_path_with_a_line_break_stays_one_header_line(tmp_path):
+    policy = tmp_path / "a\nb.txt"
+    save_net(DenseNet([preset("S1exp").obs_dim, 4, 2], ["relu", "softmax"], seed=0), policy)
+    assert run(["eval", policy, "--case", "S1exp", *ARGS, "--episodes", "1",
+                "--out", tmp_path]) == 0
+    lines = (tmp_path / "S1exp_eval_summary.csv").read_text().splitlines()
+    assert f"# policy={tmp_path}/a\\nb.txt" in lines
+    assert [ln for ln in lines if not ln.startswith("#")][0] == (
+        "case,mean_cleanings,mean_total_cost")
+
+
 def test_nan_training_reward_is_an_error(tmp_path, capsys, nan_rewards):
     rc = run(["train", "sac", "--case", "S1exp", *ARGS, "--episodes", "1", "--out", tmp_path])
     captured = capsys.readouterr()

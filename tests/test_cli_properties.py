@@ -468,6 +468,9 @@ def mutated_argvs(draw):
 @example(case=(["simopt", "--case", CASE, "--reps", "abc"], False))
 @example(case=(["eval", "interval:", "--case", CASE, "--horizon", "1"], False))
 @example(case=(["simopt", "--case", CASE, "--horizon", "1", "--reps", "100000000"], True))
+# A fault this harness found: int() took 'interval:\n1' as 1, and the line
+# break split the summary's header.
+@example(case=(["eval", "interval:\n1", "--case", CASE, "--horizon", "1"], False))
 def test_mutated_argv_exits_0_1_or_2(case):
     argv, capped = case
     with tempfile.TemporaryDirectory() as tmp:
