@@ -1,13 +1,10 @@
 """Experiment runner CLI.
 
 Subcommands: ``simopt``, ``train``, ``eval``, ``report``, ``trace``.  Every
-command is deterministic given its flags; each output CSV starts with
-``#``-prefixed comment lines recording the case name, ``tariff``,
-``cleaning_cost``, ``panel_area``, ``horizon_years``, ``start_month``,
-``seed``, ``reward_mode`` and ``normalization_mode``, plus the command's
-own settings.  They do not record ``include_humidity``,
-``weather_model_path`` or the ``soiling`` physics.
-Scenario may be a named preset (S1exp..S5uae) or a JSON config file path.
+command is deterministic given its flags.  ``_OUTPUTS`` gives each CSV's
+file name and columns, and ``_config_header`` the ``#`` comment lines that
+open it.  Scenario may be a named preset (S1exp..S5uae) or a JSON config
+file path; an unnamed config is labelled ``custom``.
 The default output directory comes from ``--out`` or the
 ``PVCLEAN_OUT_DIR`` environment variable.
 """
@@ -29,7 +26,6 @@ from .environment import (FEATURE_SCALES, PRESETS, CleaningEnv, ConfigError,
                           ScenarioConfig, load_config, preset)
 from .nn import load_net, save_net
 from .rng import replication_entropy
-from .weather import VARIABLES
 
 __all__ = ["main"]
 
@@ -59,17 +55,19 @@ def _scenario(args) -> ScenarioConfig:
     if not re.fullmatch(r"[\w.-]*", cfg.name):
         raise ConfigError(f"{name}: name must be letters, digits, '_', '.' or '-': {cfg.name!r}")
     # Each override flag's dest is the ScenarioConfig field it sets.
-    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
-                           if getattr(args, f.name, None) is not None})
-
-
-def _case_label(cfg: ScenarioConfig) -> str:
-    return cfg.name or "custom"
+    return replace(cfg, name=cfg.name or "custom",
+                   **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)
+                      if getattr(args, f.name, None) is not None})
 
 
 def _config_header(cfg: ScenarioConfig, extra: dict | None = None) -> list:
+    """The ``#`` lines that open a CSV: the case name, ``tariff``,
+    ``cleaning_cost``, ``panel_area``, ``horizon_years``, ``start_month``,
+    ``seed``, ``reward_mode`` and ``normalization_mode``, then ``extra``, the
+    command's own settings.  They do not record ``include_humidity``,
+    ``weather_model_path`` or the ``soiling`` physics."""
     lines = [
-        f"# case={_case_label(cfg)}",
+        f"# case={cfg.name}",
         f"# tariff={cfg.tariff!r} cleaning_cost={cfg.cleaning_cost!r} "
         f"panel_area={cfg.panel_area!r}",
         f"# horizon_years={cfg.horizon_years} start_month={cfg.start_month} "
@@ -82,34 +80,46 @@ def _config_header(cfg: ScenarioConfig, extra: dict | None = None) -> list:
     return lines
 
 
-def _write_csv(path: Path, header_lines, columns, rows) -> None:
-    """Write ``rows`` under the ``#`` header lines and the column names.
+# Each kind of CSV the CLI writes: its file name, where {label} is the case
+# name and {agent} the agent, and its columns in file order.  A summary's
+# columns map to the type ``report`` parses each one as and the least value
+# a run can write (None for text); ``simopt`` and ``eval`` write one row of
+# them.  A trace's columns go on with the scenario's observations and then
+# the keys of ``CleaningEnv.step``'s info after ``day``.
+_OUTPUTS = {
+    "simopt_curve": ("{label}_simopt_curve.csv",
+                     ("z", "mean_total_cost", "stderr", "mean_cleanings")),
+    "simopt_summary": ("{label}_simopt_summary.csv",
+                       {"case": (str, None), "z_star": (int, 1),
+                        "mean_cleanings": (float, 0.0), "mean_total_cost": (float, 0.0)}),
+    "eval_summary": ("{label}_eval_summary.csv",
+                     {"case": (str, None), "mean_cleanings": (float, 0.0),
+                      "mean_total_cost": (float, 0.0)}),
+    "rewards": ("{label}_{agent}_rewards.csv", ("episode", "total_reward")),
+    "trace": ("{label}_trace.csv", ("day", "action")),
+    "report": ("report.csv", ("case", "z_star", "simopt_mean_cleanings", "simopt_mean_cost",
+                              "rl_mean_cleanings", "rl_mean_cost", "cost_saving", "status")),
+}
+
+
+def _write_csv(directory: Path, kind: str, header_lines, rows, columns=(), **names) -> Path:
+    """Write ``rows`` to the ``kind`` file of ``_OUTPUTS`` in ``directory``,
+    its name filled in from ``names``, under the ``#`` header lines and a
+    row of the kind's columns followed by ``columns``; return its path.
 
     Raises ``NumericalError``, and writes nothing, unless every float in
     ``rows`` is finite: inputs whose magnitudes overflow (a tariff and a
     panel area near the largest float, say) give an infinite or NaN cost.
     """
-    lines = [*header_lines, ",".join(columns)]
+    pattern, kind_columns = _OUTPUTS[kind]
+    path = directory / pattern.format(**names)
+    lines = [*header_lines, ",".join([*kind_columns, *columns])]
     for row in rows:
         if any(isinstance(v, float) and not math.isfinite(v) for v in row):
             raise agents.NumericalError(f"{path}: non-finite result in {tuple(row)!r}")
         lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n", newline="")
-
-
-# Each summary CSV's columns, in file order, with the type ``report`` parses
-# each one as and the least value a run can write (None for text);
-# ``simopt`` and ``eval`` write one row of them.
-_SUMMARIES = {
-    "simopt": {"case": (str, None), "z_star": (int, 1), "mean_cleanings": (float, 0.0),
-               "mean_total_cost": (float, 0.0)},
-    "eval": {"case": (str, None), "mean_cleanings": (float, 0.0),
-             "mean_total_cost": (float, 0.0)},
-}
-
-
-def _summary_path(directory: Path, label: str, kind: str) -> Path:
-    return directory / f"{label}_{kind}_summary.csv"
+    return path
 
 
 # Upper bounds on the count flags, checked before any weather is drawn, so a
@@ -137,17 +147,15 @@ def cmd_simopt(args) -> int:
     out = _out_dir(args)
     z_star, curve = simopt.optimize(cfg, z_min=1, z_max=args.zmax,
                                     replications=args.reps)
-    label = _case_label(cfg)
     header = _config_header(cfg, {"replications": args.reps, "z_max": args.zmax})
     # The unpaired standard error of each interval's mean over replications.
     rows = [(z, e.mean_total_cost, float(np.std(e.costs) / np.sqrt(len(e.costs))),
              e.mean_cleanings) for z, e in enumerate(curve, start=1)]
-    _write_csv(out / f"{label}_simopt_curve.csv", header,
-               ["z", "mean_total_cost", "stderr", "mean_cleanings"], rows)
+    _write_csv(out, "simopt_curve", header, rows, label=cfg.name)
     best = curve[z_star - 1]
-    _write_csv(_summary_path(out, label, "simopt"), header, list(_SUMMARIES["simopt"]),
-               [(label, z_star, best.mean_cleanings, best.mean_total_cost)])
-    print(f"{label}: z_star={z_star} mean_total_cost={best.mean_total_cost:.6g}")
+    _write_csv(out, "simopt_summary", header,
+               [(cfg.name, z_star, best.mean_cleanings, best.mean_total_cost)], label=cfg.name)
+    print(f"{cfg.name}: z_star={z_star} mean_total_cost={best.mean_total_cost:.6g}")
     return 0
 
 
@@ -156,14 +164,12 @@ def cmd_train(args) -> int:
     _at_most(args.episodes, _MAX_TRAIN_EPISODES, "--episodes")
     out = _out_dir(args)
     result = agents.train(args.agent, cfg, episodes=args.episodes, seed=cfg.seed)
-    label = _case_label(cfg)
-    policy_path = out / f"{label}_{args.agent}_policy.txt"
+    policy_path = out / f"{cfg.name}_{args.agent}_policy.txt"
     save_net(result.best_net, policy_path)
     header = _config_header(cfg, {"agent": args.agent, "episodes": args.episodes})
-    _write_csv(out / f"{label}_{args.agent}_rewards.csv", header,
-               ["episode", "total_reward"],
-               list(enumerate(result.reward_curve)))
-    print(f"{label}: trained {args.agent} for {args.episodes} episodes, "
+    _write_csv(out, "rewards", header, list(enumerate(result.reward_curve)),
+               label=cfg.name, agent=args.agent)
+    print(f"{cfg.name}: trained {args.agent} for {args.episodes} episodes, "
           f"best smoothed reward {result.best_smoothed_reward:.6g}; "
           f"policy -> {policy_path}")
     return 0
@@ -190,46 +196,45 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     policy = _load_policy(args.policy, cfg)
     result = agents.evaluate(policy, cfg, episodes=args.episodes)
-    label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy, "episodes": args.episodes})
-    _write_csv(_summary_path(out, label, "eval"), header, list(_SUMMARIES["eval"]),
-               [(label, result.mean_cleanings, result.mean_total_cost)])
-    print(f"{label}: eval mean_total_cost={result.mean_total_cost:.6g} "
+    _write_csv(out, "eval_summary", header,
+               [(cfg.name, result.mean_cleanings, result.mean_total_cost)], label=cfg.name)
+    print(f"{cfg.name}: eval mean_total_cost={result.mean_total_cost:.6g} "
           f"mean_cleanings={result.mean_cleanings:.6g}")
     return 0
-
-
-_TRACE_INFO = (*VARIABLES, "soiling", "efficiency", "energy_loss_cost",
-               "cleaning_cost_incurred")
 
 
 def cmd_trace(args) -> int:
     cfg = _scenario(args)
     out = _out_dir(args)
     policy = _load_policy(args.policy, cfg)
-    rows = []
+    rows, info_names = [], []
 
     def record(obs, actions, res):
-        # A batch of one replication: row 0 of every array.
-        rows.append((res.info["day"], int(actions[0]), *[float(v) for v in obs[0]],
-                     *[float(res.info[k][0]) for k in _TRACE_INFO]))
+        # A batch of one replication: row 0 of every array.  info opens with
+        # the day, and its other keys name the trace's last columns.
+        day, *values = res.info.values()
+        info_names[:] = list(res.info)[1:]
+        rows.append((day, int(actions[0]), *[float(v) for v in obs[0]],
+                     *[float(v[0]) for v in values]))
 
     agents.rollout(policy, CleaningEnv(cfg), [replication_entropy(cfg.seed, 0)], record)
     obs_names = [f"obs_{name}" for name in list(FEATURE_SCALES)[:cfg.obs_dim]]
-    label = _case_label(cfg)
     header = _config_header(cfg, {"policy": args.policy})
-    _write_csv(out / f"{label}_trace.csv", header,
-               ["day", "action", *obs_names, *_TRACE_INFO], rows)
-    print(f"{label}: trace with {len(rows)} days -> {label}_trace.csv")
+    path = _write_csv(out, "trace", header, rows, [*obs_names, *info_names], label=cfg.name)
+    print(f"{cfg.name}: trace with {len(rows)} days -> {path.name}")
     return 0
 
 
-def _read_summary(path: Path, kind: str) -> dict | None:
-    """The data row of the ``kind`` summary CSV at ``path`` by column, each
-    column of ``_SUMMARIES[kind]`` parsed with its type, every float finite
-    and no number below its column's least value; None if there is no file."""
+def _read_summary(directory: Path, kind: str, label: str) -> tuple:
+    """The path of ``label``'s ``kind`` summary CSV in ``directory``, and its
+    one data row by column: as wide as the header, each column of
+    ``_OUTPUTS[kind]`` parsed with its type, every float finite, no number
+    below its column's least value and ``case`` equal to ``label``.  The row
+    is None if there is no file."""
+    path = directory / _OUTPUTS[kind][0].format(label=label)
     if not path.exists():
-        return None
+        return path, None
     with open(path) as fh:
         try:
             lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
@@ -237,8 +242,13 @@ def _read_summary(path: Path, kind: str) -> dict | None:
             raise ValueError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path}: no data row under the header")
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    for column, (parse, least) in _SUMMARIES[kind].items():
+    if len(lines) > 2:
+        raise ValueError(f"{path}: {len(lines) - 1} data rows; a summary has one")
+    names, values = lines[0].split(","), lines[1].split(",")
+    if len(values) != len(names):
+        raise ValueError(f"{path}: {len(values)} values under {len(names)} columns")
+    row = dict(zip(names, values))
+    for column, (parse, least) in _OUTPUTS[kind][1].items():
         if column not in row:
             raise ValueError(f"{path}: no {column} column")
         text = row[column]
@@ -251,17 +261,26 @@ def _read_summary(path: Path, kind: str) -> dict | None:
             raise ValueError(f"{path}: {column} {text!r} is not finite")
         if least is not None and row[column] < least:
             raise ValueError(f"{path}: {column} {text!r} is less than {least}")
-    return row
+    if row["case"] != label:
+        raise ValueError(f"{path}: case {row['case']!r} is not the file's label {label!r}")
+    return path, row
+
+
+_SUMMARY_KINDS = ("simopt_summary", "eval_summary")
 
 
 def cmd_report(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"--dir {directory}: not a directory")
+    # The presets in their order, then every other label with a summary; a
+    # summary's file name is its label followed by a fixed suffix.
+    found = {p.name.removesuffix(_OUTPUTS[kind][0].format(label="")) for kind in _SUMMARY_KINDS
+             for p in directory.glob(_OUTPUTS[kind][0].format(label="*"))}
     rows = []
-    for name in PRESETS:
-        sim_path, ev_path = (_summary_path(directory, name, kind) for kind in ("simopt", "eval"))
-        sim, ev = _read_summary(sim_path, "simopt"), _read_summary(ev_path, "eval")
+    for name in [*PRESETS, *sorted(found - PRESETS.keys())]:
+        (sim_path, sim), (ev_path, ev) = (_read_summary(directory, kind, name)
+                                          for kind in _SUMMARY_KINDS)
         if sim is None or ev is None:
             rows.append((name, "", "", "", "", "", "", "incomplete"))
             continue
@@ -274,12 +293,7 @@ def cmd_report(args) -> int:
                              f"/ {a!r} is not finite")
         rows.append((name, sim["z_star"], sim["mean_cleanings"], a,
                      ev["mean_cleanings"], b, saving, "ok"))
-    out = _out_dir(args)
-    _write_csv(out / "report.csv",
-               [f"# source_dir={directory}"],
-               ["case", "z_star", "simopt_mean_cleanings", "simopt_mean_cost",
-                "rl_mean_cleanings", "rl_mean_cost", "cost_saving", "status"],
-               rows)
+    _write_csv(_out_dir(args), "report", [f"# source_dir={directory}"], rows)
     for row in rows:
         print(",".join(map(str, row)))
     return 2 if any(row[-1] == "incomplete" for row in rows) else 0

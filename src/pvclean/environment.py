@@ -346,13 +346,14 @@ class CleaningEnv:
             reward = -day_cost
         else:
             reward = -self.cumulative_cost if self.done else np.zeros(self._shape)
+        # In the column order of the CLI's trace, which takes its names from here.
         info = {
             "day": t,
+            **dict(zip(VARIABLES, self._weather[t].T)),
+            "soiling": self.soiling,
+            "efficiency": eff,
             "energy_loss_cost": energy_loss,
             "cleaning_cost_incurred": cleaning_cost_incurred,
-            "efficiency": eff,
-            "soiling": self.soiling,
-            **dict(zip(VARIABLES, self._weather[t].T)),
         }
         return StepResult(self._observation(), reward, self.done, info)
 

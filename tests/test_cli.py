@@ -15,7 +15,7 @@ import pytest
 import pvclean
 from pvclean import cli, weather
 from pvclean.cli import main
-from pvclean.environment import preset, save_config
+from pvclean.environment import PRESETS, preset, save_config
 from pvclean.nn import DenseNet, save_net
 from pvclean.weather import default_model, save_model
 
@@ -128,6 +128,27 @@ def test_report_incomplete_and_complete(tmp_path):
     rows = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(rows) == 10
     assert all(ln.endswith("ok") for ln in rows)
+
+
+def test_report_covers_every_case_it_finds(tmp_path):
+    """The presets in their order, then every other label with a summary,
+    sorted: an unnamed config's is ``custom``."""
+    runs = tmp_path / "runs"
+    for name, commands in [("site_b", ("simopt", "eval")), ("", ("simopt", "eval")),
+                           ("only_simopt", ("simopt",))]:
+        path = tmp_path / f"{name or 'unnamed'}.json"
+        save_config(preset("S2uae", horizon_years=1, name=name), path)
+        if "simopt" in commands:
+            assert run(["simopt", "--case", path, "--reps", "2", "--zmax", "10",
+                        "--out", runs]) == 0
+        if "eval" in commands:
+            assert run(["eval", "interval:7", "--case", path, "--episodes", "2",
+                        "--out", runs]) == 0
+    assert run(["report", "--dir", runs, "--out", runs]) == 2
+    rows = [ln.split(",") for ln in (runs / "report.csv").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == [*PRESETS, "custom", "only_simopt", "site_b"]
+    assert [row[-1] for row in rows] == ["incomplete"] * 10 + ["ok", "incomplete", "ok"]
+    assert rows[10][1:-1] == rows[12][1:-1]
 
 
 def test_config_file_scenario(tmp_path):
@@ -425,7 +446,11 @@ EVAL_SUMMARY = "case,mean_cleanings,mean_total_cost\nS1exp,12.0,20.0\n"
     (SIMOPT_SUMMARY.format(cost="0.0"), "S1exp_simopt_summary.csv"),
     (SIMOPT_SUMMARY.format(cost="nan"), "S1exp_simopt_summary.csv"),
     ("z_star,mean_cleanings,mean_total_cost\n36,10.0,24.8\n", "S1exp_simopt_summary.csv"),
-], ids=["no-cost-column", "zero-cost", "nan-cost", "no-case-column"])
+    (SIMOPT_SUMMARY.format(cost="24.8") + "S2exp,1,1.0,1.0\n", "S1exp_simopt_summary.csv"),
+    (SIMOPT_SUMMARY.format(cost="24.8,999"), "S1exp_simopt_summary.csv"),
+    (SIMOPT_SUMMARY.format(cost="24.8").replace("S1exp", "S9exp"), "S1exp_simopt_summary.csv"),
+], ids=["no-cost-column", "zero-cost", "nan-cost", "no-case-column", "second-row",
+        "wider-row", "other-case"])
 def test_bad_summary_is_a_report_error(tmp_path, capsys, simopt_summary, names):
     (tmp_path / "S1exp_simopt_summary.csv").write_text(simopt_summary)
     (tmp_path / "S1exp_eval_summary.csv").write_text(EVAL_SUMMARY)

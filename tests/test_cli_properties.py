@@ -16,8 +16,9 @@ either exit 0 with a finite summary CSV or exit 1 with exactly one
 
 ``pvclean report`` reads a simopt or eval summary CSV with one mutation (a
 column dropped or renamed; a value made text, nan, inf, 1e400, 1e308,
-1e-308, 0, negative or empty; the data row removed), and must exit 2 with a
-well-formed report or exit 1 with one ``error:`` line naming the summary.
+1e-308, 0, negative, empty or another case; the data row removed, a second
+one added, or a value added to it), and must exit 2 with a well-formed
+report or exit 1 with one ``error:`` line naming the summary.
 
 Each file may also be truncated at a random byte, get one 0xff byte, or
 be replaced by a directory.
@@ -27,23 +28,27 @@ Each subcommand's valid argv gets one mutation: a flag's value made text,
 or unknown; or a junk ``interval:`` policy.  It must exit 0 with
 well-formed outputs, exit 1 with one ``error:`` line, or exit 2 after
 argparse's usage and ``error:`` lines (argparse's own contract, kept).
+Every CSV it writes has the name and the columns of one kind of
+``cli._OUTPUTS``.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import run_capped
 
 from pvclean import cli
-from pvclean.environment import preset, save_config
+from pvclean.environment import FEATURE_SCALES, CleaningEnv, preset, save_config
 from pvclean.nn import DenseNet, load_net, save_net
 from pvclean.soiling import SoilingParams
 from pvclean.weather import default_model, save_model
@@ -307,25 +312,31 @@ def test_inadmissible_cubic_is_one_error_line(cubic):
     assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: ") and "cubic" in err[0]
 
 
-# Each summary's columns and types come from the table that cli writes and
-# reads them by; a valid row holds one value of each type.
+# Each summary's file name, columns and types come from the table that cli
+# writes and reads them by; a valid row holds one value of each type.
+SUMMARIES = {kind: columns for kind, (_, columns) in cli._OUTPUTS.items()
+             if kind.endswith("_summary")}
 SUMMARY_VALUES = {str: "S1exp", int: 36, float: 24.8}
 COLUMN = st.integers(0, 10)
 SUMMARY_MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), COLUMN),
-    st.tuples(st.just("rename"), COLUMN, st.sampled_from(["", "x", *cli._SUMMARIES["simopt"]])),
+    st.tuples(st.just("rename"), COLUMN,
+              st.sampled_from(["", "x", *SUMMARIES["simopt_summary"]])),
     st.tuples(st.just("value"), COLUMN, st.sampled_from(
-        ["abc", "nan", "inf", "-inf", "1e400", "", "1e308", "1e-308", "0", "-0.0", "-1", "-5.0"])),
+        ["abc", "nan", "inf", "-inf", "1e400", "", "1e308", "1e-308", "0", "-0.0", "-1", "-5.0",
+         "S9exp", "S2exp"])),
     st.tuples(st.just("header-only")),
+    st.tuples(st.just("append"), st.sampled_from(["S2exp,1,1.0,1.0", "S1exp,12.0,20.0", ""])),
+    st.tuples(st.just("widen"), st.sampled_from(["999", ""])),
     ANY_FILE,
 )
 
 
 def write_summaries(directory: Path) -> None:
     """A valid S1exp summary of each kind in ``directory``."""
-    for kind, columns in cli._SUMMARIES.items():
-        cli._write_csv(cli._summary_path(directory, "S1exp", kind), ["# case=S1exp"],
-                       list(columns), [[SUMMARY_VALUES[t] for t, _ in columns.values()]])
+    for kind, columns in SUMMARIES.items():
+        cli._write_csv(directory, kind, ["# case=S1exp"],
+                       [[SUMMARY_VALUES[t] for t, _ in columns.values()]], label="S1exp")
 
 
 def mutate_summary(path: Path, mutation) -> None:
@@ -336,6 +347,11 @@ def mutate_summary(path: Path, mutation) -> None:
     comment, header, row = [line.split(",") for line in path.read_text().splitlines()]
     if kind == "header-only":
         row = None
+    elif kind == "append":
+        path.write_text(path.read_text() + args[0] + "\n")
+        return
+    elif kind == "widen":
+        row.append(args[0])
     else:
         at = args[0] % len(header)
         if kind == "drop":
@@ -359,11 +375,30 @@ def run_main(argv) -> tuple:
     return rc, stderr.getvalue().splitlines()
 
 
+def output_kinds(name: str) -> list:
+    """The kinds of ``cli._OUTPUTS`` whose file name pattern ``name`` matches."""
+    return [kind for kind, (pattern, _) in cli._OUTPUTS.items()
+            if re.fullmatch(re.sub(r"\\\{\w+\\\}", ".+", re.escape(pattern)), name)]
+
+
+def trace_columns(config) -> list:
+    """The columns a trace of ``config`` adds to its kind's: the observations,
+    then the keys of ``CleaningEnv.step``'s info after ``day``."""
+    env = CleaningEnv(config)
+    env.reset()
+    day, *info = env.step(np.zeros(1, dtype=int)).info
+    return [f"obs_{name}" for name in list(FEATURE_SCALES)[:config.obs_dim]] + info
+
+
 def assert_well_formed(out: Path) -> None:
-    """Every CSV in ``out`` has rows as wide as its header and finite
-    numbers, and every policy file loads."""
+    """Every CSV in ``out`` has the name and the columns of one kind of
+    ``cli._OUTPUTS``, rows as wide as its header and finite numbers, and
+    every policy file loads."""
     for path in out.glob("*.csv"):
         rows = [ln.split(",") for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        (kind,) = output_kinds(path.name)
+        extra = trace_columns(VALID) if kind == "trace" else []
+        assert rows[0] == [*cli._OUTPUTS[kind][1], *extra], path
         assert len(rows) >= 2 and {len(r) for r in rows} == {len(rows[0])}, path
         for value in (v for r in rows[1:] for v in r):
             with contextlib.suppress(ValueError):
@@ -373,33 +408,42 @@ def assert_well_formed(out: Path) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(list(cli._SUMMARIES)), mutation=SUMMARY_MUTATIONS)
+@given(kind=st.sampled_from(list(SUMMARIES)), mutation=SUMMARY_MUTATIONS)
 # Faults this harness pins: a non-finite cost, or a finite one that makes
 # the saving non-finite, was blamed on report.csv; a non-UTF-8 summary's
 # error did not name the file; a z_star of 0 and a negative count or cost
-# made a report.
-@example(kind="simopt", mutation=("value", 3, "nan"))
-@example(kind="eval", mutation=("value", 2, "1e400"))
-@example(kind="simopt", mutation=("value", 3, "1e-308"))
-@example(kind="eval", mutation=("byte", 3))
-@example(kind="simopt", mutation=("value", 1, "0"))
-@example(kind="simopt", mutation=("value", 2, "-5.0"))
-@example(kind="eval", mutation=("value", 2, "-1"))
+# made a report; a second data row, a row wider than the header and
+# another case's row made an ok row.
+@example(kind="simopt_summary", mutation=("value", 3, "nan"))
+@example(kind="eval_summary", mutation=("value", 2, "1e400"))
+@example(kind="simopt_summary", mutation=("value", 3, "1e-308"))
+@example(kind="eval_summary", mutation=("byte", 3))
+@example(kind="simopt_summary", mutation=("value", 1, "0"))
+@example(kind="simopt_summary", mutation=("value", 2, "-5.0"))
+@example(kind="eval_summary", mutation=("value", 2, "-1"))
+@example(kind="simopt_summary", mutation=("append", "S2exp,1,1.0,1.0"))
+@example(kind="eval_summary", mutation=("widen", "999"))
+@example(kind="eval_summary", mutation=("value", 0, "S9exp"))
 def test_mutated_summary_gives_a_report_or_one_error_line(kind, mutation):
     with tempfile.TemporaryDirectory() as tmp:
         runs, out = Path(tmp) / "runs", Path(tmp) / "out"
         runs.mkdir()
         write_summaries(runs)
-        mutated = cli._summary_path(runs, "S1exp", kind)
+        mutated = runs / cli._OUTPUTS[kind][0].format(label="S1exp")
         mutate_summary(mutated, mutation)
         rc, err = run_main(["report", "--dir", runs, "--out", out])
         if rc == 2:
             assert_well_formed(out)
             # Only values a run can write reach the report: z_star at least
-            # 1, counts and costs at least 0.
+            # 1, counts and costs at least 0, from a summary of one data row
+            # as wide as its header whose case is the row's.
             rows = (out / "report.csv").read_text().splitlines()[2:]
             for row in (r.split(",") for r in rows if r.endswith(",ok")):
                 assert int(row[1]) >= 1 and min(map(float, row[2:6])) >= 0.0, row
+                header, *data = [ln.split(",") for ln in mutated.read_text().splitlines()
+                                 if not ln.startswith("#")]
+                assert len(data) == 1 and len(data[0]) == len(header), data
+                assert dict(zip(header, data[0]))["case"] == row[0], (header, data)
         else:
             assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
             assert str(mutated) in err[0], err
