@@ -187,19 +187,18 @@ class PPOAgent:
     def collect_episode(self, env: CleaningEnv, entropy) -> Rollout:
         """One full stochastic-policy episode (the PPO rollout)."""
         policy = SampledPolicy(self.actor, entropy)
-        observations, actions, rewards, log_probs = [], [], [], []
+        observations, actions, log_probs = [], [], []
 
         def record(obs, a, res):
             observations.append(obs[0])
             actions.append(a[0])
-            rewards.append(res.reward[0])
             log_probs.append(np.log(max(policy.probs[0, a[0]], 1e-300)))
 
-        rollout(policy, env, [entropy], record)
+        # The episode's days are priced once, after it is played.
+        rewards = rollout(policy, env, [entropy], record).rewards()[:, 0]
         observations = np.array(observations)
         values = self.critic.forward(observations)[:, 0]
-        return Rollout(observations, np.array(actions), np.array(rewards),
-                       np.array(log_probs), values)
+        return Rollout(observations, np.array(actions), rewards, np.array(log_probs), values)
 
     def update(self, rollout: Rollout) -> dict:
         """Clipped-surrogate actor / MSE critic update over the rollout."""
@@ -460,9 +459,14 @@ def evaluate(policy, env_config: ScenarioConfig, episodes: int = 30) -> Evaluati
     disjoint from the training seeds.  These are the seeds of
     :func:`pvclean.simopt.evaluate_interval`, so entry r of the returned
     :class:`~pvclean.environment.Evaluation` pairs with entry r of its.
+    Raises :class:`~pvclean.environment.NumericalError` if a cost is not finite.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     env = rollout(policy, CleaningEnv(env_config),
                   [replication_entropy(env_config.seed, r) for r in range(episodes)])
-    return Evaluation(env.cumulative_cost, env.cumulative_cleanings)
+    costs = env.cumulative_cost
+    bad = np.flatnonzero(~np.isfinite(costs))
+    if bad.size:
+        raise NumericalError(f"non-finite cost in evaluation episode {bad[0]}")
+    return Evaluation(costs, env.cumulative_cleanings)

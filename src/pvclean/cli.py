@@ -124,9 +124,11 @@ def _write_csv(directory: Path, kind: str, header_lines, rows, columns=(), **nam
 
 # Upper bounds on the count flags, checked before any weather is drawn, so a
 # mistyped count fails at once instead of exhausting memory.  At the bounds
-# the peak RSS was 280 MB for eval (54 replications of 100 years), 205 MB
-# for simopt and 115 MB for a 100,000-interval sweep (x86-64 Linux, numpy
-# 2.4).  30 replications of the longest horizon (100 years) stay admitted.
+# the peak RSS was 280 MB for eval (54 replications of 100 years; it comes
+# while reset draws the weather, and pricing all days at once after the
+# episode leaves it there), 205 MB for simopt and 115 MB for a
+# 100,000-interval sweep (x86-64 Linux, numpy 2.4).  30 replications of the
+# longest horizon (100 years) stay admitted.
 _MAX_REPLICATION_DAYS = 2_000_000
 _MAX_SWEEP = 100_000                # intervals x replications
 _MAX_TRAIN_EPISODES = 100_000

@@ -1,9 +1,12 @@
 """Day-step cleaning MDP over a PV panel lifetime.
 
-Each step is one day: an optional morning cleaning, that day's weather,
-soiling accumulation, efficiency, and the resulting energy-loss and
-cleaning costs.  The reward is the negated cost, either per step (default)
-or as a single terminal payout.
+Each step is one day: an optional morning cleaning, that day's weather
+and soiling accumulation.  A day's efficiency and its energy-loss and
+cleaning costs are priced when something reads them: a step's ``reward``
+or ``info``, the episode's ``cumulative_cost`` or its ``rewards()``.  No
+action depends on a cost, so an episode that only needs its totals is
+priced once, over all its days, instead of once a day.  The reward is the
+negated cost, either per step (default) or as a single terminal payout.
 
 The observation shown to the agent before step ``t`` contains the weather
 of day ``t`` (the day the action applies to), the current deposition, and
@@ -221,10 +224,36 @@ class Evaluation:
 
 @dataclass
 class StepResult:
+    """One day's step: the next observation and whether the episode is over.
+
+    ``reward`` and ``info`` price the day when read, from the record of the
+    episode it was played in, so they read the same after later steps and
+    after a ``reset``.
+    """
+
     observation: np.ndarray
-    reward: np.ndarray
     done: bool
-    info: dict
+    _episode: _Episode = field(repr=False)
+    _day: int
+
+    @property
+    def reward(self) -> np.ndarray:
+        t = self._day
+        return self._episode.rewards(t, t + 1)[0]
+
+    @property
+    def info(self) -> dict:
+        t = self._day
+        eff, energy_loss, cleaning_cost, _ = (v[0] for v in self._episode.price(t, t + 1))
+        # In the column order of the CLI's trace, which takes its names from here.
+        return {
+            "day": t,
+            **dict(zip(VARIABLES, self._episode.weather[t].T)),
+            "soiling": self._episode.soiling[t],
+            "efficiency": eff,
+            "energy_loss_cost": energy_loss,
+            "cleaning_cost_incurred": cleaning_cost,
+        }
 
 
 def observation_scales(config: ScenarioConfig) -> np.ndarray:
@@ -256,13 +285,67 @@ def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
             "clean_panel_loss": (price * (tau * sp.eff_max)).sum(axis=1)}
 
 
+class _Episode:
+    """One episode's days, day-major: row t of each array is day t.
+
+    Holds what prices a day: the energy price factor, age factor and weather
+    that ``reset`` drew, and, written by each step, the soiling after the
+    day and whether it began with a clean.  ``reset`` makes a new one, so a
+    :class:`StepResult` that keeps it prices its own day.
+    """
+
+    def __init__(self, config: ScenarioConfig, days: dict, weather: np.ndarray):
+        self.config = config
+        self.d_cal = days["d_cal"].T
+        self.price_factor = days["price"].T
+        self.tau = days["tau"][:, None]
+        # (n_days, replications, variable) in VARIABLES order, wind in m/s.
+        self.weather = weather
+        self.soiling = np.zeros(self.d_cal.shape)
+        self.cleaned = np.zeros(self.d_cal.shape, dtype=bool)
+
+    def price(self, t0: int, t1: int) -> tuple:
+        """Efficiency, energy-loss cost, cleaning cost and day cost of days
+        [t0, t1), each shaped (t1 - t0, replications)."""
+        cfg = self.config
+        sp = cfg.soiling
+        cleaning_cost = np.where(self.cleaned[t0:t1], cfg.cleaning_cost, 0.0)
+        tau = self.tau[t0:t1]
+        eff = phys.efficiency(self.soiling[t0:t1], tau, sp)
+        energy_loss = self.price_factor[t0:t1] * (tau * sp.eff_max - eff)
+        return eff, energy_loss, cleaning_cost, energy_loss + cleaning_cost
+
+    def total_cost(self, t1: int) -> np.ndarray:
+        """The day costs of days [0, t1) added day by day to 0.0, per replication.
+
+        ``np.add.accumulate`` adds in day order, as a running total does;
+        ``np.sum`` along the days of one replication adds pairwise and
+        rounds differently.
+        """
+        costs = np.zeros((t1 + 1, *self.soiling.shape[1:]))
+        costs[1:] = self.price(0, t1)[3]
+        return np.add.accumulate(costs, axis=0)[-1]
+
+    def rewards(self, t0: int, t1: int) -> np.ndarray:
+        """The rewards of days [t0, t1), shaped (t1 - t0, replications)."""
+        if self.config.reward_mode == "per_step":
+            return -self.price(t0, t1)[3]
+        rewards = np.zeros((t1 - t0, *self.soiling.shape[1:]))
+        if t1 == len(self.soiling):
+            rewards[-1] = -self.total_cost(t1)
+        return rewards
+
+
 class CleaningEnv:
     """Single-owner, seeded cleaning environment over one or many replications.
 
     ``reset`` draws the whole weather trajectory (the draws are day-ordered
     per variable, so this is draw-for-draw identical to sampling inside
-    ``step``) and precomputes the schedule-independent day arrays, so a
-    step only cleans, accumulates soiling and prices the day.
+    ``step``) and precomputes the schedule-independent day arrays.  A step
+    only cleans and accumulates soiling, the state the next observation
+    shows, and records the day's soiling and cleaning.  Days are priced
+    when read: each :class:`StepResult` prices its own day, and
+    ``cumulative_cost`` and :meth:`rewards` price all days played at once.
 
     ``reset`` takes a list of seeds and runs one replication per seed in
     lockstep: observations are (replications, obs_dim), and actions,
@@ -295,20 +378,14 @@ class CleaningEnv:
                              f"got {seeds!r}")
         weather = stack_weather(self.model, cfg.n_days, seeds, cfg.start_month)
         days = day_arrays(cfg, weather)
+        stacked = np.stack([weather[var].T for var in VARIABLES], axis=-1)
+        stacked[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
+        self._episode = _Episode(cfg, days, stacked)
         self._shape = (len(seeds),)
-        # Day-major views: step t reads row t.
-        self._d_cal = days["d_cal"].T
-        self._price = days["price"].T
-        self._tau = days["tau"]
-        # (n_days, replications, variable) in VARIABLES order, wind in m/s.
-        self._weather = np.stack([weather[var].T for var in VARIABLES], axis=-1)
-        self._weather[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
         self.day = 0
         self.done = False
         self.soiling = np.zeros(self._shape)
         self.days_since_clean = np.zeros(self._shape, dtype=np.int64)
-        self.cumulative_cost = np.zeros(self._shape)
-        self.cumulative_cleanings = np.zeros(self._shape, dtype=np.int64)
         return self._observation()
 
     def step(self, action) -> StepResult:
@@ -322,40 +399,34 @@ class CleaningEnv:
         # Every entry must be ACTION_NO_CLEAN (0, == False) or ACTION_CLEAN (1, == True).
         if a.shape != self._shape or np.count_nonzero(a != cleaned):
             raise ValueError(f"action must be 0 or 1 per replication, got {action!r}")
-        cfg = self.config
-        sp = cfg.soiling
+        episode = self._episode
         t = self.day
-        cleaning_cost_incurred = np.where(cleaned, cfg.cleaning_cost, 0.0)
         # The fresh day's deposition lands even on a cleaning day.
         self.soiling = phys.accumulate(np.where(cleaned, 0.0, self.soiling),
-                                       self._d_cal[t], False, sp.beta_residue)
-        tau = self._tau[t]
-        eff = phys.efficiency(self.soiling, tau, sp)
-        energy_loss = self._price[t] * (tau * sp.eff_max - eff)
-
-        day_cost = energy_loss + cleaning_cost_incurred
-        self.cumulative_cost = self.cumulative_cost + day_cost
-        self.cumulative_cleanings = self.cumulative_cleanings + cleaned
+                                       episode.d_cal[t], False, self.config.soiling.beta_residue)
+        episode.soiling[t] = self.soiling
+        episode.cleaned[t] = cleaned
         # Counts mornings since the last cleaning morning, so a fixed rule
         # "clean when the counter reaches z" fires every z-th day exactly.
         self.days_since_clean = self.days_since_clean * ~cleaned + 1
         self.day += 1
-        self.done = self.day >= cfg.n_days
+        self.done = self.day >= self.config.n_days
+        return StepResult(self._observation(), self.done, episode, t)
 
-        if cfg.reward_mode == "per_step":
-            reward = -day_cost
-        else:
-            reward = -self.cumulative_cost if self.done else np.zeros(self._shape)
-        # In the column order of the CLI's trace, which takes its names from here.
-        info = {
-            "day": t,
-            **dict(zip(VARIABLES, self._weather[t].T)),
-            "soiling": self.soiling,
-            "efficiency": eff,
-            "energy_loss_cost": energy_loss,
-            "cleaning_cost_incurred": cleaning_cost_incurred,
-        }
-        return StepResult(self._observation(), reward, self.done, info)
+    @property
+    def cumulative_cost(self) -> np.ndarray:
+        """Each replication's total cost over the days played, priced on read."""
+        return self._episode.total_cost(self.day)
+
+    @property
+    def cumulative_cleanings(self) -> np.ndarray:
+        """Each replication's cleanings over the days played."""
+        return np.count_nonzero(self._episode.cleaned[:self.day], axis=0)
+
+    def rewards(self) -> np.ndarray:
+        """The reward of every day played, shaped (days, replications), priced
+        on read: what each step's ``reward`` gives."""
+        return self._episode.rewards(0, self.day)
 
     # -- observation -------------------------------------------------------
 
@@ -365,6 +436,6 @@ class CleaningEnv:
         obs = np.empty(self._shape + self._scales.shape)
         obs[..., 0] = self.soiling
         obs[..., 1] = self.days_since_clean
-        obs[..., 2:] = self._weather[t][..., :len(self._scales) - 2]
+        obs[..., 2:] = self._episode.weather[t][..., :len(self._scales) - 2]
         obs /= self._scales
         return obs

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from pvclean.environment import CleaningEnv
+from pvclean import environment
 
 
 @pytest.fixture
 def nan_rewards(monkeypatch):
-    """Make every ``CleaningEnv.step`` reward and cumulative cost NaN."""
-    step = CleaningEnv.step
+    """Make every priced day NaN, so every reward and cumulative cost is NaN."""
+    price = environment._Episode.price
 
-    def nan_reward(self, actions):
-        res = step(self, actions)
-        res.reward[:] = np.nan
-        self.cumulative_cost[:] = np.nan
-        return res
+    def nan_price(self, t0, t1):
+        return tuple(np.full_like(v, np.nan) for v in price(self, t0, t1))
 
-    monkeypatch.setattr(CleaningEnv, "step", nan_reward)
+    monkeypatch.setattr(environment._Episode, "price", nan_price)

@@ -16,6 +16,10 @@ the family table that the class reads them from.
 out-of-place chain, one new array per step, with the input gradient of
 every layer computed; the network's in-place passes must equal them bit
 for bit.
+
+``priced_steps`` is ``CleaningEnv.step`` as it was when each step priced
+its own day and kept a running total: the environment, which prices days
+only when they are read, must equal it bit for bit.
 """
 
 import math
@@ -23,8 +27,11 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
+from pvclean import soiling as phys
 from pvclean.distributions import (_EXP_M2, _LOG4, _LOG5, _P0, _P1, _P2, _Q0, _Q1, _Q2,
                                    _SQRT_2PI, _TINY, _cheng_constants, _polevl, sample_many)
+from pvclean.environment import day_arrays
+from pvclean.weather import KMH_PER_MS, VARIABLES, stack_weather
 
 
 def ndtri1(p: float) -> float:
@@ -234,3 +241,42 @@ def dense_backward(net, cache, grad_out) -> list:
         grads[:0] = (dz.T @ a_in, dz.sum(axis=0))
         g = dz @ w
     return grads
+
+
+def priced_steps(config, seeds, actions) -> tuple:
+    """An episode of ``config`` on the replications ``seeds`` played with
+    ``actions`` (shape (n_days, replications)), one day at a time, each day
+    priced as it is played.  Returns the list of each day's reward, the
+    list of each day's info dict, and the final cumulative cost and
+    cumulative cleanings."""
+    weather = stack_weather(config.weather_model(), config.n_days, seeds, config.start_month)
+    days = day_arrays(config, weather)
+    d_cal, price, taus = days["d_cal"].T, days["price"].T, days["tau"]
+    sp = config.soiling
+    shape = (len(seeds),)
+    soiling = np.zeros(shape)
+    cumulative_cost = np.zeros(shape)
+    cumulative_cleanings = np.zeros(shape, dtype=np.int64)
+    rewards, infos = [], []
+    for t, action in enumerate(actions):
+        cleaned = np.asarray(action) == 1
+        cleaning_cost_incurred = np.where(cleaned, config.cleaning_cost, 0.0)
+        soiling = phys.accumulate(np.where(cleaned, 0.0, soiling), d_cal[t], False,
+                                  sp.beta_residue)
+        tau = taus[t]
+        eff = phys.efficiency(soiling, tau, sp)
+        energy_loss = price[t] * (tau * sp.eff_max - eff)
+        day_cost = energy_loss + cleaning_cost_incurred
+        cumulative_cost = cumulative_cost + day_cost
+        cumulative_cleanings = cumulative_cleanings + cleaned
+        done = t + 1 >= config.n_days
+        if config.reward_mode == "per_step":
+            rewards.append(-day_cost)
+        else:
+            rewards.append(-cumulative_cost if done else np.zeros(shape))
+        day_weather = {var: weather[var][:, t] for var in VARIABLES}
+        day_weather["wind_speed"] = day_weather["wind_speed"] / KMH_PER_MS
+        infos.append({"day": t, **day_weather, "soiling": soiling, "efficiency": eff,
+                      "energy_loss_cost": energy_loss,
+                      "cleaning_cost_incurred": cleaning_cost_incurred})
+    return rewards, infos, cumulative_cost, cumulative_cleanings

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import priced_steps
 from pvclean import agents
 from pvclean.agents import (FixedIntervalPolicy, GreedyPolicy, PPOConfig,
                             ReplayBuffer, SACConfig, clipped_surrogate,
                             compute_gae, evaluate, train)
-from pvclean.environment import FEATURE_SCALES, CleaningEnv, Evaluation, ScenarioConfig
+from pvclean.environment import (FEATURE_SCALES, CleaningEnv, Evaluation, NumericalError,
+                                 ScenarioConfig, preset)
 from pvclean.nn import DenseNet
 from pvclean.rng import RandomStream, replication_entropy
 from pvclean.simopt import evaluate_interval
@@ -197,6 +199,16 @@ def test_lockstep_evaluate_matches_sequential_oracle(overrides, kind):
     assert all(0 < c < cfg.n_days for c in cleanings)
 
 
+def test_both_evaluation_routes_fail_on_a_non_finite_cost():
+    # tariff * panel_area overflows, so every cost is inf or nan.
+    cfg = preset("S1exp", horizon_years=1, tariff=1e308, panel_area=1e308)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="non-finite cost in evaluation episode 0"):
+            evaluate(FixedIntervalPolicy(5, cfg), cfg, 2)
+        with pytest.raises(NumericalError, match="non-finite cost for interval 5"):
+            evaluate_interval(5, cfg, 2)
+
+
 def test_evaluate_rejects_no_episodes():
     cfg = ScenarioConfig(**SMALL)
     with pytest.raises(ValueError, match="episodes"):
@@ -307,3 +319,19 @@ def test_collect_episode_matches_reference_loop():
     assert 0 < sum(actions) < cfg.n_days
     assert episode.rewards.tolist() == rewards
     assert episode.log_probs.tolist() == log_probs
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), reward_mode=st.sampled_from(["per_step", "terminal"]),
+       include_humidity=st.booleans(), div10=st.booleans())
+def test_collect_episode_rewards_equal_days_priced_as_played(seed, reward_mode,
+                                                             include_humidity, div10):
+    """The PPO rollout's rewards, priced after the episode, equal the per-day
+    oracle's on the episode's actions, bit for bit."""
+    cfg = ScenarioConfig(**SMALL, reward_mode=reward_mode, include_humidity=include_humidity,
+                         normalization_mode="div10" if div10 else "feature_scaled")
+    entropy = (seed, 1, 0)
+    episode = agents.PPOAgent(cfg.obs_dim, seed=seed).collect_episode(CleaningEnv(cfg), entropy)
+    rewards, _, _, _ = priced_steps(cfg, [entropy], episode.actions[:, None])
+    assert episode.rewards.shape == (cfg.n_days,)
+    assert np.array_equal(episode.rewards, np.array(rewards)[:, 0])

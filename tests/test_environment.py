@@ -1,7 +1,9 @@
 """Cleaning environment: config handling, step accounting, reward modes.
 
 The single-step oracle re-derives one day's transition from the weather
-arrays and the soiling primitives, independently of CleaningEnv.step.
+arrays and the soiling primitives, independently of CleaningEnv.step, and
+``oracles.priced_steps`` prices every day as it is played, as the
+environment did before it priced days only when they are read.
 A default reset starts one replication, so observations are (1, obs_dim)
 and actions, rewards and state are (1,) arrays; tests read replication 0.
 """
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import priced_steps
 from pvclean import soiling as phys
 from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
                                  PRESETS, CleaningEnv, ConfigError,
@@ -485,3 +488,47 @@ def test_lockstep_replications_match_single_seed_episodes(seeds, overrides, data
         assert single.cumulative_cost[0] == env.cumulative_cost[r]
         assert single.cumulative_cleanings[0] == env.cumulative_cleanings[r]
         assert single.cumulative_cleanings[0] == actions[r].sum()
+
+
+def assert_same_day(result, reward, info):
+    assert np.array_equal(result.reward, reward)
+    assert list(result.info) == list(info)
+    for key, value in result.info.items():
+        assert np.array_equal(value, info[key]), key
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(_ENTROPY, min_size=1, max_size=3),
+       reward_mode=st.sampled_from(["per_step", "terminal"]),
+       include_humidity=st.booleans(), div10=st.booleans(), data=st.data())
+def test_days_priced_on_read_equal_days_priced_as_played(seeds, reward_mode,
+                                                         include_humidity, div10, data):
+    """Every reward, info value and total equals the per-day oracle's, bit for
+    bit, whenever it is read.  With one replication a pairwise sum along
+    the days rounds differently from the day-by-day running total."""
+    cfg = ScenarioConfig(**SMALL, reward_mode=reward_mode, include_humidity=include_humidity,
+                         normalization_mode="div10" if div10 else "feature_scaled")
+    actions = data.draw(arrays(np.int64, (cfg.n_days, len(seeds)),
+                               elements=st.integers(0, 1)))
+    rewards, infos, cost, cleanings = priced_steps(cfg, seeds, actions)
+
+    env = CleaningEnv(cfg)
+    env.reset(seeds)
+    results = []
+    for day, action in enumerate(actions):
+        results.append(env.step(action))
+        # Read as soon as it is returned, as SAC reads it.
+        assert np.array_equal(results[-1].reward, rewards[day])
+    # Read after every later step.
+    for res, reward, info in zip(results, rewards, infos):
+        assert_same_day(res, reward, info)
+    assert np.array_equal(env.cumulative_cost, cost)
+    assert np.array_equal(env.cumulative_cleanings, cleanings)
+    assert np.array_equal(env.rewards(), np.array(rewards))
+
+    # Read after a reset has started another episode.
+    env.reset([s + 1 if isinstance(s, int) else s[::-1] for s in seeds])
+    env.step(1 - actions[0])
+    day = data.draw(st.integers(0, cfg.n_days - 1), label="day")
+    assert_same_day(results[day], rewards[day], infos[day])
+    assert_same_day(results[-1], rewards[-1], infos[-1])
