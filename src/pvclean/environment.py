@@ -31,6 +31,7 @@ __all__ = [
     "EpisodeDoneError", "PRESETS", "preset", "load_config", "save_config",
     "CALIBRATED_PANEL_AREA",
     "FEATURE_SCALES", "observation_scales", "cleaning_interval", "day_arrays",
+    "DAY_VARIABLES",
 ]
 
 ACTION_NO_CLEAN = 0
@@ -264,13 +265,19 @@ def observation_scales(config: ScenarioConfig) -> np.ndarray:
     return scales
 
 
+# The weather variables that day_arrays reads: every cost depends on these
+# alone, so Sim-Opt draws only them.  Temperature is read only by
+# CleaningEnv's observation and a step's info.
+DAY_VARIABLES = ("wind_speed", "particulate_matter", "irradiance", "relative_humidity")
+
+
 def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
     """Schedule-independent per-day quantities, shaped (replications, n_days).
 
     Daily calibrated deposition, the day's energy price factor
     tariff * area * GHI/1000, and the age factor (shaped (n_days,)) do not
     depend on the cleaning schedule, so they are computed once per weather
-    set.
+    set.  ``weather`` needs only the ``DAY_VARIABLES``.
     """
     sp = config.soiling
     n_days = weather["wind_speed"].shape[1]

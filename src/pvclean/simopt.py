@@ -15,6 +15,11 @@ starts a segment there; each interval then sums its segments' leading
 entries.  It shares the per-day deposition, price and age arrays
 (:func:`pvclean.environment.day_arrays`) with ``CleaningEnv`` but
 accumulates soiling in closed form, so the two routes agree to rounding.
+Sim-Opt draws only the four weather variables those arrays read (wind
+speed, particulate matter, irradiance and relative humidity); only
+``CleaningEnv`` draws temperature, for its observation.  Each variable has
+its own random stream, so every value drawn is the one the environment
+draws for the same replication.
 
 Costs are linear in the panel area for fixed seeds, so the area that
 gives a target optimal cost (:func:`calibrate_panel_area`) is a closed
@@ -28,7 +33,8 @@ from dataclasses import replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .environment import Evaluation, NumericalError, ScenarioConfig, cleaning_interval, day_arrays
+from .environment import (DAY_VARIABLES, Evaluation, NumericalError, ScenarioConfig,
+                          cleaning_interval, day_arrays)
 from .rng import replication_entropy
 from .weather import stack_weather
 
@@ -38,12 +44,15 @@ __all__ = ["evaluate_interval", "optimize", "precompute_weather", "calibrate_pan
 def precompute_weather(config: ScenarioConfig, replications: int) -> dict:
     """Per-replication weather arrays, shaped (replications, n_days).
 
-    Replication r uses the sub-seed (seed, replication-tag, r); identical
-    across all intervals evaluated under the same config.
+    Holds the ``DAY_VARIABLES`` only, the four variables
+    :func:`~pvclean.environment.day_arrays` reads: temperature, which no
+    cost reads, is not drawn.  Replication r uses the sub-seed (seed,
+    replication-tag, r); identical across all intervals evaluated under the
+    same config, and equal to the same variables of ``CleaningEnv.reset``.
     """
     return stack_weather(config.weather_model(), config.n_days,
                          [replication_entropy(config.seed, r) for r in range(replications)],
-                         config.start_month)
+                         config.start_month, DAY_VARIABLES)
 
 
 # Intervals are swept in chunks whose per-interval work, the sum of
@@ -121,29 +130,38 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
         for n in np.unique(length):
             starts = used[length == n]
             offset[starts] = size + n * np.arange(starts.size)
-            windows = (sliding_window_view(d, n), sliding_window_view(price, n),
-                       sliding_window_view(tau, n))
+            d_win, price_win, tau_win = (sliding_window_view(x, n) for x in (d, price, tau))
             step = max(1, _BLOCK_ELEMENTS // n)
-            blocks += [(starts[i:i + step], n, size + i * n, windows)
+            # The age factor does not depend on the replication, so each
+            # block's rows of it are gathered once.
+            blocks += [(starts[i:i + step], n, size + i * n, d_win, price_win,
+                        tau_win[starts[i:i + step]])
                        for i in range(0, starts.size, step)]
             size += starts.size * n
         rows = np.empty(size)
-        largest = max(starts.size * n for starts, n, _, _ in blocks)
+        largest = max(starts.size * n for starts, n, *_ in blocks)
         soil_buf, term_buf = np.empty(largest), np.empty(largest)
         segments = [(sliding_window_view(rows, z), offset[::z]) for z in chunk]
 
         for r in range(n_reps):
             d[:n_days] = days["d_cal"][r]
             price[:n_days] = days["price"][r]
-            for starts, n, at, (d_win, price_win, tau_win) in blocks:
+            for starts, n, at, d_win, price_win, tau_rows in blocks:
                 shape = (starts.size, n)
                 poly = rows[at:at + starts.size * n].reshape(shape)
                 soil = soil_buf[:poly.size].reshape(shape)
                 term = term_buf[:poly.size].reshape(shape)
                 np.cumsum(d_win[starts], axis=1, out=soil)
-                np.minimum.accumulate(soil, axis=1, out=term)
+                # The running minimum stops at k, one past the latest low of
+                # the block's rows: from its first argmin on, a row's running
+                # minimum is the row's minimum, so columns k on subtract
+                # column k - 1.  The sign of a zero minimum cannot reach
+                # (beta + C) - M, since beta > 0 keeps beta + C from being -0.0.
+                k = soil.argmin(axis=1).max() + 1
+                np.minimum.accumulate(soil[:, :k], axis=1, out=term[:, :k])
                 np.add(sp.beta_residue, soil, out=poly)
-                np.subtract(poly, term, out=poly)
+                np.subtract(poly[:, :k], term[:, :k], out=poly[:, :k])
+                np.subtract(poly[:, k:], term[:, k - 1:k], out=poly[:, k:])
                 np.maximum(soil, poly, out=soil)
 
                 # soiling.efficiency's cubic, restated on the work buffers:
@@ -159,7 +177,7 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
                 np.multiply(c1, soil, out=term)
                 np.add(poly, term, out=poly)
                 np.add(poly, sp.eff_max, out=poly)
-                np.multiply(tau_win[starts], poly, out=poly)
+                np.multiply(tau_rows, poly, out=poly)
                 np.maximum(poly, 0.0, out=poly)
                 np.multiply(price_win[starts], poly, out=poly)
             for i, (window, offsets) in enumerate(segments):

@@ -138,17 +138,21 @@ def month_of_day(day_index, start_month: int = 1):
 
 
 def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
-                     start_month: int = 1) -> dict:
+                     start_month: int = 1, variables=VARIABLES) -> dict:
     """Draw ``n_days`` of weather for each :func:`make_streams` dict in ``streams``.
 
-    Returns one (len(streams), n_days) array per variable.  Row r is
-    draw-for-draw identical to drawing each day in order, one value at a
-    time, from that day's month with ``streams[r]``: the same values, and
-    every stream left with the same ``counter`` and the same next uniform.
-    The draws are :func:`~pvclean.distributions.sample_days` over the
-    twelve months' specs of each variable.  A spec whose rejection sampler
-    accepts too rarely to draw raises ``ModelFormatError`` naming the
-    model's file.
+    Returns one (len(streams), n_days) array per entry of ``variables``
+    (default: all five), in that order.  Row r is draw-for-draw identical
+    to drawing each day in order, one value at a time, from that day's
+    month with ``streams[r]``: the same values, and every stream left with
+    the same ``counter`` and the same next uniform.  Each variable has its
+    own stream, so a variable that is not drawn leaves its stream untouched
+    and the others' draws the same: Sim-Opt draws only the four variables
+    its costs read, and only :class:`~pvclean.environment.CleaningEnv`
+    draws temperature.  The draws are
+    :func:`~pvclean.distributions.sample_days` over the twelve months'
+    specs of each variable.  A spec whose rejection sampler accepts too
+    rarely to draw raises ``ModelFormatError`` naming the model's file.
     """
     if not (isinstance(n_days, (int, np.integer)) and not isinstance(n_days, bool)
             and n_days >= 0):
@@ -159,17 +163,17 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
     try:
         return {var: sample_days([model.spec(m, var) for m in range(1, 13)], index,
                                  [s[var] for s in streams])
-                for var in VARIABLES}
+                for var in variables}
     except ParameterError as exc:
         raise ModelFormatError(f"{model.source or 'weather model'}: {exc}") from None
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,
-                  start_month: int = 1) -> dict:
-    """:func:`generate_weather` on the :func:`make_streams` of each entropy.
+                  start_month: int = 1, variables=VARIABLES) -> dict:
+    """:func:`generate_weather` of ``variables`` on the :func:`make_streams` of each entropy.
 
     Row r is exactly the weather replication ``entropies[r]`` gets when
     drawn alone.
     """
     return generate_weather(model, n_days, [make_streams(e) for e in entropies],
-                            start_month)
+                            start_month, variables)

@@ -17,15 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pvclean
-from pvclean import agents, environment, simopt
+from pvclean import agents, environment, simopt, weather
 from pvclean.agents import NumericalError
 from pvclean import soiling as phys
-from pvclean.environment import ScenarioConfig, day_arrays
+from pvclean.environment import DAY_VARIABLES, CleaningEnv, ScenarioConfig, day_arrays
 from pvclean.rng import replication_entropy
 from pvclean.simopt import (calibrate_panel_area, evaluate_interval, optimize,
                             precompute_weather)
 from pvclean.soiling import SoilingParams
-from pvclean.weather import KMH_PER_MS, default_model, generate_weather, make_streams
+from pvclean.weather import (KMH_PER_MS, VARIABLES, default_model, generate_weather,
+                             make_streams, save_model, stack_weather)
 
 CFG = ScenarioConfig(tariff=0.073, cleaning_cost=0.0183, horizon_years=1, seed=0)
 
@@ -36,8 +37,16 @@ def all_replications_episode_costs(z, config, weather):
     ``simopt`` runs the same operations one replication at a time; this is
     the whole-array form they must equal bit for bit.
     """
+    energy_loss, cleanings = all_replications_energy_losses(z, config,
+                                                            day_arrays(config, weather))
+    return energy_loss, cleanings * config.cleaning_cost, cleanings
+
+
+def all_replications_energy_losses(z, config, days):
+    """The energy-loss costs of interval ``z`` on ``days`` (the
+    :func:`~pvclean.environment.day_arrays` of some weather), and its
+    cleanings, with a running minimum over every day of every segment."""
     sp = config.soiling
-    days = day_arrays(config, weather)
     n_reps, n_days = days["d_cal"].shape
     n_seg = -(-n_days // z)
     pad = n_seg * z - n_days
@@ -52,9 +61,7 @@ def all_replications_episode_costs(z, config, weather):
     eff = np.maximum(tau * (c3 * soil ** 3 + c2 * soil ** 2 + c1 * soil + sp.eff_max), 0.0)
     price = np.pad(days["price"], ((0, 0), (0, pad))).reshape(n_reps, n_seg, z)
     energy_loss = days["clean_panel_loss"] - (price * eff).sum(axis=(1, 2))
-
-    cleanings = n_seg - 1
-    return energy_loss, cleanings * config.cleaning_cost, cleanings
+    return energy_loss, n_seg - 1
 
 
 @st.composite
@@ -163,6 +170,126 @@ def test_optimize_curve_equals_single_intervals_and_oracle(horizon, reps, start_
         assert simopt._energy_losses([z], cfg, days)[0].tolist() == energy_loss.tolist()
         assert e.costs.tolist() == (energy_loss + cleaning_cost).tolist()
         assert e.cleanings.tolist() == [cleanings] * reps
+
+
+@st.composite
+def made_up_days(draw):
+    """A ``day_arrays`` dict of 1-3 replications whose deposition has both
+    signs and signed zeros, on the scale of the bundled model's (-5e-4 to
+    0.12 g/m2 a day), where soiling stays below the cubic's root.  A
+    replication is drawn at random, or keeps falling, so that every row's
+    low is its last column, or keeps rising, so that every low is its
+    first."""
+    n_reps, n_days = draw(st.integers(1, 3)), draw(st.integers(1, 60))
+    days = st.lists(st.floats(1e-4, 0.1), min_size=n_days, max_size=n_days)
+    d_cal = []
+    for _ in range(n_reps):
+        shape = draw(st.sampled_from(["random", "falling", "rising"]), label="shape")
+        if shape == "random":
+            d_cal.append(draw(st.lists(st.one_of(st.floats(-0.1, 0.1),
+                                                 st.sampled_from([0.0, -0.0])),
+                                       min_size=n_days, max_size=n_days)))
+        else:
+            d_cal.append([-x if shape == "falling" else x for x in draw(days)])
+    price = st.lists(st.floats(0.0, 10.0), min_size=n_days, max_size=n_days)
+    return {"d_cal": np.array(d_cal),
+            "price": np.array([draw(price) for _ in range(n_reps)]),
+            "tau": np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_days,
+                                          max_size=n_days))),
+            "clean_panel_loss": np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=n_reps,
+                                                       max_size=n_reps)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(days=made_up_days(), sp=soiling_params(),
+       block=st.sampled_from([1, 300, simopt._BLOCK_ELEMENTS]), data=st.data())
+def test_energy_losses_equal_the_full_running_minimum_wherever_the_lows_fall(days, sp, block,
+                                                                             data):
+    """The sweep's running minimum stops at each block's latest low; the oracle
+    runs it over every day.  Rows that fall to their last column, rows of
+    length 1 and zero minima of either sign give the same costs."""
+    cfg = replace(CFG, soiling=sp)
+    n_days = days["d_cal"].shape[1]
+    z_min = data.draw(st.integers(1, n_days + 3), label="z_min")
+    z_max = data.draw(st.integers(z_min, n_days + 3), label="z_max")
+    zs = range(z_min, z_max + 1)
+    with mock.patch.object(simopt, "_BLOCK_ELEMENTS", block):
+        losses = simopt._energy_losses(zs, cfg, days)
+    for z, loss in zip(zs, losses):
+        assert loss.tolist() == all_replications_energy_losses(z, cfg, days)[0].tolist()
+
+
+class KeysRead(dict):
+    """A dict that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def recorded_streams(monkeypatch):
+    """Patch ``weather.make_streams`` to keep every stream dict it makes."""
+    made, make = [], weather.make_streams
+    monkeypatch.setattr(weather, "make_streams",
+                        lambda entropy: made.append(make(entropy)) or made[-1])
+    return made
+
+
+@pytest.mark.parametrize("start_month", [1, 7])
+def test_precompute_weather_draws_only_the_variables_day_arrays_reads(monkeypatch,
+                                                                      start_month):
+    cfg = replace(CFG, horizon_years=2, start_month=start_month, seed=5)
+    streams = recorded_streams(monkeypatch)
+    drawn = precompute_weather(cfg, 3)
+    four = streams[:]
+    entropies = [replication_entropy(cfg.seed, r) for r in range(3)]
+    all_five = stack_weather(default_model(), cfg.n_days, entropies, start_month)
+    five = streams[len(four):]
+
+    recorder = KeysRead(drawn)
+    day_arrays(cfg, recorder)
+    assert list(drawn) == list(DAY_VARIABLES)
+    assert recorder.read == set(DAY_VARIABLES)
+    assert list(all_five) == list(VARIABLES)
+    for var in DAY_VARIABLES:
+        assert drawn[var].tobytes() == all_five[var].tobytes(), var
+    assert len(four) == len(five) == 3
+    for r in range(3):
+        assert list(four[r]) == list(VARIABLES)
+        assert four[r]["temperature"].counter == 0
+        assert five[r]["temperature"].counter > 0
+        for var in DAY_VARIABLES:
+            assert four[r][var].counter == five[r][var].counter, (r, var)
+
+
+def test_the_environment_still_draws_all_five_variables(monkeypatch):
+    cfg = replace(CFG, seed=3)
+    streams = recorded_streams(monkeypatch)
+    env = CleaningEnv(cfg)
+    seeds = [replication_entropy(cfg.seed, r) for r in range(2)]
+    env.reset(seeds)
+    result = env.step(np.zeros(2, dtype=np.int64))
+    expect = stack_weather(default_model(), cfg.n_days, seeds)
+    assert all(s[var].counter > 0 for s in streams for var in VARIABLES)
+    for var in VARIABLES:
+        scale = KMH_PER_MS if var == "wind_speed" else 1.0
+        assert result.info[var].tolist() == (expect[var][:, 0] / scale).tolist(), var
+
+
+def test_optimize_on_a_saved_copy_of_the_bundled_model_gives_the_same_curve(tmp_path):
+    model = tmp_path / "model.csv"
+    save_model(default_model(), model)
+    cfg = replace(CFG, seed=11)
+    z_star, curve = optimize(cfg, 1, 40, replications=3)
+    copy_star, copy_curve = optimize(replace(cfg, weather_model_path=str(model)), 1, 40,
+                                     replications=3)
+    assert copy_star == z_star
+    assert [e.costs.tolist() for e in copy_curve] == [e.costs.tolist() for e in curve]
+    assert [e.cleanings.tolist() for e in copy_curve] == [e.cleanings.tolist() for e in curve]
 
 
 def test_interval_one_cleans_daily():

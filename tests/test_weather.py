@@ -332,6 +332,22 @@ def test_generate_weather_needs_a_replication():
         stack_weather(default_model(), 10, [])
 
 
+@pytest.mark.parametrize("variables", [("irradiance", "wind_speed"), ("temperature",), ()])
+def test_generate_weather_draws_only_the_variables_asked_for(variables):
+    """Each variable has its own stream: the ones drawn equal a five-variable
+    draw, value and counter, and the others' streams stay untouched."""
+    streams, full = [make_streams(7)], [make_streams(7)]
+    arrays = generate_weather(default_model(), 100, streams, 4, variables)
+    expect = generate_weather(default_model(), 100, full, 4)
+    assert list(arrays) == list(variables)
+    for var in VARIABLES:
+        if var in variables:
+            assert arrays[var].tobytes() == expect[var].tobytes(), var
+            assert streams[0][var].counter == full[0][var].counter, var
+        else:
+            assert streams[0][var].counter == 0, var
+
+
 def test_generate_weather_deterministic():
     model = default_model()
     a = generate_weather(model, 365, [make_streams(3)])
