@@ -124,9 +124,9 @@ def _write_csv(directory: Path, kind: str, header_lines, rows, columns=(), **nam
 
 # Upper bounds on the count flags, checked before any weather is drawn, so a
 # mistyped count fails at once instead of exhausting memory.  At the bounds
-# the peak RSS was 280 MB for eval (54 replications of 100 years; it comes
-# while reset draws the weather, and pricing all days at once after the
-# episode leaves it there), 205 MB for simopt and 115 MB for a
+# the peak RSS was 235 MB for eval (54 replications of 100 years, while
+# reset holds the drawn weather beside the episode's copy of it), 151 MB
+# for simopt (273 replications of 20 years) and 115 MB for a
 # 100,000-interval sweep (x86-64 Linux, numpy 2.4).  30 replications of the
 # longest horizon (100 years) stay admitted.
 _MAX_REPLICATION_DAYS = 2_000_000

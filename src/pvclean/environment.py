@@ -5,8 +5,9 @@ and soiling accumulation.  A day's efficiency and its energy-loss and
 cleaning costs are priced when something reads them: a step's ``reward``
 or ``info``, the episode's ``cumulative_cost`` or its ``rewards()``.  No
 action depends on a cost, so an episode that only needs its totals is
-priced once, over all its days, instead of once a day.  The reward is the
-negated cost, either per step (default) or as a single terminal payout.
+priced once, a year of days at a time, instead of once a day.  The reward
+is the negated cost, either per step (default) or as a single terminal
+payout.
 
 The observation shown to the agent before step ``t`` contains the weather
 of day ``t`` (the day the action applies to), the current deposition, and
@@ -277,19 +278,28 @@ def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
     Daily calibrated deposition, the day's energy price factor
     tariff * area * GHI/1000, and the age factor (shaped (n_days,)) do not
     depend on the cleaning schedule, so they are computed once per weather
-    set.  ``weather`` needs only the ``DAY_VARIABLES``.
+    set.  ``weather`` needs only the ``DAY_VARIABLES``, and is consumed:
+    each is popped as it is read, so that a drawn array is freed once the
+    day array that reads it exists.  A caller that reads the weather again
+    passes a copy, ``dict(weather)``.
     """
     sp = config.soiling
     n_days = weather["wind_speed"].shape[1]
-    ws = weather["wind_speed"] / KMH_PER_MS  # deposition law wants m/s
-    d_cal = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"]),
-                           weather["relative_humidity"], sp.humidity_k)
-    price = config.tariff * config.panel_area * (weather["irradiance"] / 1000.0)
+    d_cal = phys.calibrate(
+        phys.daily_soiling(weather.pop("wind_speed") / KMH_PER_MS,  # the law wants m/s
+                           weather.pop("particulate_matter")),
+        weather.pop("relative_humidity"), sp.humidity_k)
+    price = config.tariff * config.panel_area * (weather.pop("irradiance") / 1000.0)
     tau = phys.degradation_factor(np.arange(n_days) // 365, sp.annual_degradation)
     return {"d_cal": d_cal, "price": price, "tau": tau,
             # Energy loss is price * (tau*eff_max - eff); the first term
             # does not depend on the schedule.
             "clean_panel_loss": (price * (tau * sp.eff_max)).sum(axis=1)}
+
+
+# Days that _Episode.total_cost prices at a time: a year, so that reading a
+# long episode's total holds a year of pricing arrays, not the episode's.
+_PRICE_DAYS = 365
 
 
 class _Episode:
@@ -327,11 +337,19 @@ class _Episode:
 
         ``np.add.accumulate`` adds in day order, as a running total does;
         ``np.sum`` along the days of one replication adds pairwise and
-        rounds differently.
+        rounds differently.  Days are priced ``_PRICE_DAYS`` at a time, each
+        block's accumulation starting from the total carried so far, so the
+        additions are those of one pass over all days while the pricing's
+        arrays stay a block long.
         """
-        costs = np.zeros((t1 + 1, *self.soiling.shape[1:]))
-        costs[1:] = self.price(0, t1)[3]
-        return np.add.accumulate(costs, axis=0)[-1]
+        total = np.zeros(self.soiling.shape[1:])
+        for t0 in range(0, t1, _PRICE_DAYS):
+            t = min(t0 + _PRICE_DAYS, t1)
+            costs = np.empty((t - t0 + 1, *total.shape))
+            costs[0] = total
+            costs[1:] = self.price(t0, t)[3]
+            total = np.add.accumulate(costs, axis=0)[-1]
+        return total
 
     def rewards(self, t0: int, t1: int) -> np.ndarray:
         """The rewards of days [t0, t1), shaped (t1 - t0, replications)."""
@@ -384,9 +402,10 @@ class CleaningEnv:
             raise ValueError(f"seeds must be a list with one seed per replication, "
                              f"got {seeds!r}")
         weather = stack_weather(self.model, cfg.n_days, seeds, cfg.start_month)
-        days = day_arrays(cfg, weather)
+        # Copied out first: day_arrays consumes the weather dict.
         stacked = np.stack([weather[var].T for var in VARIABLES], axis=-1)
         stacked[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
+        days = day_arrays(cfg, weather)
         self._episode = _Episode(cfg, days, stacked)
         self._shape = (len(seeds),)
         self.day = 0

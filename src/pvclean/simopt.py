@@ -19,7 +19,10 @@ Sim-Opt draws only the four weather variables those arrays read (wind
 speed, particulate matter, irradiance and relative humidity); only
 ``CleaningEnv`` draws temperature, for its observation.  Each variable has
 its own random stream, so every value drawn is the one the environment
-draws for the same replication.
+draws for the same replication.  ``day_arrays`` consumes the drawn
+weather, freeing each variable once the day array that reads it exists,
+so the full draw never sits beside the deposition and calibration
+temporaries.
 
 Costs are linear in the panel area for fixed seeds, so the area that
 gives a target optimal cost (:func:`calibrate_panel_area`) is a closed

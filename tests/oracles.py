@@ -20,6 +20,12 @@ for bit.
 ``priced_steps`` is ``CleaningEnv.step`` as it was when each step priced
 its own day and kept a running total: the environment, which prices days
 only when they are read, must equal it bit for bit.
+
+``reading_day_arrays`` is ``environment.day_arrays`` as it was before it
+consumed its weather dict, and ``one_pass_total_cost`` is
+``_Episode.total_cost`` as it was before it priced a block of days at a
+time, one accumulation over every day played: the module's forms must
+equal them bit for bit.
 """
 
 import math
@@ -250,7 +256,7 @@ def priced_steps(config, seeds, actions) -> tuple:
     list of each day's info dict, and the final cumulative cost and
     cumulative cleanings."""
     weather = stack_weather(config.weather_model(), config.n_days, seeds, config.start_month)
-    days = day_arrays(config, weather)
+    days = day_arrays(config, dict(weather))
     d_cal, price, taus = days["d_cal"].T, days["price"].T, days["tau"]
     sp = config.soiling
     shape = (len(seeds),)
@@ -280,3 +286,24 @@ def priced_steps(config, seeds, actions) -> tuple:
                       "energy_loss_cost": energy_loss,
                       "cleaning_cost_incurred": cleaning_cost_incurred})
     return rewards, infos, cumulative_cost, cumulative_cleanings
+
+
+def reading_day_arrays(config, weather) -> dict:
+    """``day_arrays`` of ``weather``, read without popping any variable."""
+    sp = config.soiling
+    n_days = weather["wind_speed"].shape[1]
+    ws = weather["wind_speed"] / KMH_PER_MS
+    d_cal = phys.calibrate(phys.daily_soiling(ws, weather["particulate_matter"]),
+                           weather["relative_humidity"], sp.humidity_k)
+    price = config.tariff * config.panel_area * (weather["irradiance"] / 1000.0)
+    tau = phys.degradation_factor(np.arange(n_days) // 365, sp.annual_degradation)
+    return {"d_cal": d_cal, "price": price, "tau": tau,
+            "clean_panel_loss": (price * (tau * sp.eff_max)).sum(axis=1)}
+
+
+def one_pass_total_cost(episode, t1: int) -> np.ndarray:
+    """The day costs of ``episode``'s days [0, t1) added day by day to 0.0, all
+    days priced at once."""
+    costs = np.zeros((t1 + 1, *episode.soiling.shape[1:]))
+    costs[1:] = episode.price(0, t1)[3]
+    return np.add.accumulate(costs, axis=0)[-1]

@@ -4,6 +4,9 @@ The single-step oracle re-derives one day's transition from the weather
 arrays and the soiling primitives, independently of CleaningEnv.step, and
 ``oracles.priced_steps`` prices every day as it is played, as the
 environment did before it priced days only when they are read.
+``oracles.reading_day_arrays`` and ``oracles.one_pass_total_cost`` are the
+day arrays and episode total as they were before each full-size array was
+held only while something still reads it.
 A default reset starts one replication, so observations are (1, obs_dim)
 and actions, rewards and state are (1,) arrays; tests read replication 0.
 """
@@ -11,7 +14,9 @@ and actions, rewards and state are (1,) arrays; tests read replication 0.
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import priced_steps
+from oracles import one_pass_total_cost, priced_steps, reading_day_arrays
+from pvclean import environment
 from pvclean import soiling as phys
-from pvclean.environment import (CALIBRATED_PANEL_AREA, FEATURE_SCALES,
+from pvclean.environment import (CALIBRATED_PANEL_AREA, DAY_VARIABLES, FEATURE_SCALES,
                                  PRESETS, CleaningEnv, ConfigError,
                                  EpisodeDoneError, ScenarioConfig,
                                  load_config, observation_scales, preset,
-                                 save_config)
+                                 day_arrays, save_config)
+from pvclean.simopt import precompute_weather
 from pvclean.soiling import SoilingParams
 from pvclean.weather import KMH_PER_MS, generate_weather, make_streams
 
@@ -532,3 +539,132 @@ def test_days_priced_on_read_equal_days_priced_as_played(seeds, reward_mode,
     day = data.draw(st.integers(0, cfg.n_days - 1), label="day")
     assert_same_day(results[day], rewards[day], infos[day])
     assert_same_day(results[-1], rewards[-1], infos[-1])
+
+
+@st.composite
+def day_weather(draw):
+    """The ``DAY_VARIABLES`` of 1-4 replications over 1-3 years, with the
+    replication count, the horizon and a numpy seed drawn.  Wind speeds of 0
+    to 60 km/h and particulate matter of 0 to 2 give deposition of both
+    signs, a fifth of the relative humidities lie below ``humidity_k``, so
+    that the removal factor min(1, k / RH) is clamped at 1, and about one
+    day in twenty is given a deposition of +0.0 or -0.0.  Returns the
+    weather, ``humidity_k`` and the (mask, signed zeros) of those days."""
+    reps, years = draw(st.integers(1, 4), label="reps"), draw(st.integers(1, 3), label="years")
+    k = draw(st.floats(0.01, 10.0), label="humidity_k")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    shape = (reps, 365 * years)
+    weather = {
+        "wind_speed": rng.uniform(0.0, 60.0, shape),
+        "particulate_matter": rng.uniform(0.0, 2.0, shape),
+        "irradiance": rng.uniform(0.0, 9000.0, shape),
+        "relative_humidity": np.where(rng.random(shape) < 0.2, rng.uniform(1e-3, k, shape),
+                                      rng.uniform(k, 100.0, shape)),
+    }
+    zero = rng.random(shape) < 0.05
+    return weather, k, (zero, np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero])
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=day_weather(), annual_degradation=st.floats(0.0, 0.99),
+       tariff=st.floats(1e-3, 10.0), panel_area=st.floats(1e-2, 10.0))
+def test_day_arrays_equal_the_reading_form_and_consume_their_dict(drawn, annual_degradation,
+                                                                  tariff, panel_area):
+    """``day_arrays`` pops each variable as it reads it: its arrays equal those
+    of the form that only reads, bit for bit, and it leaves its dict empty.
+    Signed zero deposition reaches ``calibrate`` through a patched
+    ``daily_soiling``, as no finite weather makes the law give -0.0."""
+    weather, k, (zero, zeros) = drawn
+    cfg = ScenarioConfig(tariff=tariff, cleaning_cost=0.0, panel_area=panel_area,
+                         soiling=SoilingParams(humidity_k=k,
+                                               annual_degradation=annual_degradation))
+    law = phys.daily_soiling
+
+    def daily_soiling(ws, pm):
+        deposition = law(ws, pm)
+        deposition[zero] = zeros
+        return deposition
+
+    with mock.patch.object(phys, "daily_soiling", daily_soiling):
+        expect = reading_day_arrays(cfg, weather)
+        consumed = dict(weather)
+        days = day_arrays(cfg, consumed)
+    assert consumed == {}
+    assert list(weather) == list(DAY_VARIABLES)  # the caller's own dict is untouched
+    assert (expect["d_cal"] < 0).any() and (expect["d_cal"] > 0).any()
+    assert list(days) == list(expect)
+    for key, value in expect.items():
+        assert days[key].shape == value.shape, key
+        assert days[key].tobytes() == value.tobytes(), key
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds=st.lists(_ENTROPY, min_size=1, max_size=4), years=st.integers(1, 3),
+       reward_mode=st.sampled_from(["per_step", "terminal"]),
+       block=st.sampled_from([1, 7, 100, environment._PRICE_DAYS]),
+       clean_rate=st.floats(0.0, 0.3), action_seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_total_cost_a_block_at_a_time_equals_one_pass(seeds, years, reward_mode, block,
+                                                      clean_rate, action_seed, data):
+    """``cumulative_cost``, priced a block of days at a time from the total
+    carried so far, equals one accumulation over every day played, bit for
+    bit, whatever the block length and whether or not the days played
+    fill whole blocks or years."""
+    cfg = ScenarioConfig(**{**SMALL, "horizon_years": years}, reward_mode=reward_mode)
+    actions = np.random.default_rng(action_seed).random((cfg.n_days, len(seeds))) < clean_rate
+    reads = {1, 364, 365, 366, 400, cfg.n_days - 1, cfg.n_days}
+    reads |= set(data.draw(st.lists(st.integers(1, cfg.n_days), max_size=3), label="reads"))
+    env = CleaningEnv(cfg)
+    env.reset(seeds)
+    assert env.cumulative_cost.tobytes() == np.zeros(len(seeds)).tobytes()
+    with mock.patch.object(environment, "_PRICE_DAYS", block):
+        for day, action in enumerate(actions.astype(np.int64), 1):
+            env.step(action)
+            if day in reads:
+                expect = one_pass_total_cost(env._episode, day)
+                assert env.cumulative_cost.tobytes() == expect.tobytes(), day
+        if reward_mode == "terminal":
+            assert env.rewards()[-1].tobytes() == (-expect).tobytes()
+
+
+def traced_peak(f):
+    """``f()`` and the peak bytes traced while it ran, over those at its start.
+
+    numpy reports each array's data to ``tracemalloc``, so the peak is
+    exact bytes on any host."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_day_arrays_free_each_drawn_variable_once_read():
+    """Drawing and day arrays of the paper's 20-year, 30-replication sweep peak
+    below 7.5 (replications, n_days) arrays: 6.5, the drawing's own peak.
+    Holding all four drawn arrays through the deposition and calibration
+    temporaries, as ``oracles.reading_day_arrays`` does, peaks at 9.1."""
+    cfg = preset("S3exp")
+    reps = 30
+    days, peak = traced_peak(lambda: day_arrays(cfg, precompute_weather(cfg, reps)))
+    assert days["d_cal"].shape == (reps, cfg.n_days)
+    assert peak < 7.5 * days["d_cal"].nbytes
+
+
+def test_total_cost_holds_one_block_of_days_at_a_time():
+    """Reading a 3-year episode's total peaks below 4 (replications, n_days)
+    arrays: 2.4, where pricing all days at once, as
+    ``oracles.one_pass_total_cost`` does, peaks at 6.1."""
+    cfg = ScenarioConfig(**{**SMALL, "horizon_years": 3})
+    env = CleaningEnv(cfg)
+    env.reset(list(range(4)))
+    for day in range(cfg.n_days):
+        env.step(np.full(4, int(day % 20 == 0)))
+    _, peak = traced_peak(lambda: env.cumulative_cost)
+    assert peak < 4 * env._episode.soiling.nbytes

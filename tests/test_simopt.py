@@ -38,7 +38,7 @@ def all_replications_episode_costs(z, config, weather):
     the whole-array form they must equal bit for bit.
     """
     energy_loss, cleanings = all_replications_energy_losses(z, config,
-                                                            day_arrays(config, weather))
+                                                            day_arrays(config, dict(weather)))
     return energy_loss, cleanings * config.cleaning_cost, cleanings
 
 
@@ -119,7 +119,7 @@ def test_evaluate_interval_matches_slow_oracle(z):
 
 def assert_equals_all_replications_form(z, cfg, reps):
     weather = precompute_weather(cfg, reps)
-    days = day_arrays(cfg, weather)
+    days = day_arrays(cfg, dict(weather))
     ev = evaluate_interval(z, cfg, reps, days=days)
     energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(z, cfg, weather)
     assert ev.costs.tolist() == (energy_loss + cleaning_cost).tolist()
@@ -162,7 +162,7 @@ def test_optimize_curve_equals_single_intervals_and_oracle(horizon, reps, start_
           mock.patch.object(simopt, "_BLOCK_ELEMENTS", block)):
         _, curve = optimize(cfg, z_min, z_max, reps)
     weather = precompute_weather(cfg, reps)
-    days = day_arrays(cfg, weather)
+    days = day_arrays(cfg, dict(weather))
     zs = range(z_min, z_max + 1)
     assert len(curve) == len(zs)
     for z, e in zip(zs, curve):
@@ -220,7 +220,7 @@ def test_energy_losses_equal_the_full_running_minimum_wherever_the_lows_fall(day
 
 
 class KeysRead(dict):
-    """A dict that records every key read from it."""
+    """A dict that records every key read or popped from it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -229,6 +229,10 @@ class KeysRead(dict):
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
+
+    def pop(self, key, *default):
+        self.read.add(key)
+        return super().pop(key, *default)
 
 
 def recorded_streams(monkeypatch):
@@ -254,6 +258,7 @@ def test_precompute_weather_draws_only_the_variables_day_arrays_reads(monkeypatc
     day_arrays(cfg, recorder)
     assert list(drawn) == list(DAY_VARIABLES)
     assert recorder.read == set(DAY_VARIABLES)
+    assert not recorder
     assert list(all_five) == list(VARIABLES)
     for var in DAY_VARIABLES:
         assert drawn[var].tobytes() == all_five[var].tobytes(), var
