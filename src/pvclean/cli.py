@@ -124,11 +124,14 @@ def _write_csv(directory: Path, kind: str, header_lines, rows, columns=(), **nam
 
 # Upper bounds on the count flags, checked before any weather is drawn, so a
 # mistyped count fails at once instead of exhausting memory.  At the bounds
-# the peak RSS was 235 MB for eval (54 replications of 100 years, while
-# reset holds the drawn weather beside the episode's copy of it), 151 MB
-# for simopt (273 replications of 20 years) and 115 MB for a
-# 100,000-interval sweep (x86-64 Linux, numpy 2.4).  30 replications of the
-# longest horizon (100 years) stay admitted.
+# the peak RSS of each process (ru_maxrss of RUSAGE_SELF and
+# RUSAGE_CHILDREN, x86-64 Linux, numpy 2.4, two CPUs) was 234 MB for eval
+# (54 replications of 100 years, while reset holds the drawn weather beside
+# the episode's copy of it); for simopt (273 replications of 20 years) 96 MB
+# in the command's process and 92 MB in the worker that takes the other
+# half, where one process took 151 MB; and 116 MB for a 100,000-interval
+# sweep, which is one replication and so one process.  30 replications of
+# the longest horizon (100 years) stay admitted.
 _MAX_REPLICATION_DAYS = 2_000_000
 _MAX_SWEEP = 100_000                # intervals x replications
 _MAX_TRAIN_EPISODES = 100_000
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
         # (_write_csv), not also as numpy warnings.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigError, OSError, ValueError, agents.NumericalError) as exc:
+    except (ConfigError, OSError, ValueError, agents.NumericalError, simopt.WorkerError) as exc:
         # A non-finite result comes from the scenario's numbers, so it names the scenario.
         case = f"{args.case}: " if isinstance(exc, agents.NumericalError) and "case" in args else ""
         # One line, even when the message quotes input that holds a line break.

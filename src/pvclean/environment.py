@@ -401,6 +401,10 @@ class CleaningEnv:
         if not isinstance(seeds, list):
             raise ValueError(f"seeds must be a list with one seed per replication, "
                              f"got {seeds!r}")
+        # Freed before the new episode is drawn, unless a StepResult holds it.
+        # Until the draw succeeds there is no episode to step.
+        self._episode = None
+        self.done = True
         weather = stack_weather(self.model, cfg.n_days, seeds, cfg.start_month)
         # Copied out first: day_arrays consumes the weather dict.
         stacked = np.stack([weather[var].T for var in VARIABLES], axis=-1)

@@ -586,36 +586,83 @@ def test_count_bounds_admit_thirty_replications_of_the_longest_horizon(tmp_path,
         assert (one_error_line(capsys) == "error: reached") == admitted, argv
 
 
-def simopt_with_humidity_beta(tmp_path, shapes):
-    """The capped ``simopt`` run of a config whose model has February's
-    relative humidity as beta(0, 100, ``shapes``); returns the model's path
-    and the config's."""
-    model = tmp_path / "model.csv"
-    save_model(default_model(), model)
-    model.write_text("".join(
-        f"2,relative_humidity,beta,0;100;{shapes},1.0,100.0\n"
-        if line.startswith("2,relative_humidity,") else line
-        for line in model.read_text().splitlines(keepends=True)))
+def simopt_with_humidity_beta(tmp_path, model):
+    """The capped ``simopt`` run of a config whose weather model is
+    ``model``; returns the error line and the config's path."""
     path = tmp_path / "scenario.json"
     save_config(preset("S1exp", horizon_years=1, weather_model_path=str(model)), path)
     proc = run_capped(["simopt", "--case", path, "--reps", "2", "--zmax", "10",
                        "--out", tmp_path / "out"], tmp_path)
-    return capped_error_line(proc), model, path
+    return capped_error_line(proc), path
 
 
 @pytest.mark.parametrize("shapes", ["1e155;1e155", "1e308;1e308"])
-def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, shapes):
+def test_cheng_beta_whose_2ab_overflows_is_an_error(tmp_path, humidity_beta_model, shapes):
     # 2ab = inf: Cheng BB's constants were 1/0 (a ZeroDivisionError) at
     # 1e155 and NaN at 1e308, where the draw never accepted an attempt.
-    line, model, path = simopt_with_humidity_beta(tmp_path, shapes)
+    model = humidity_beta_model(shapes)
+    line, path = simopt_with_humidity_beta(tmp_path, model)
     assert str(model) in line and "2ab finite" in line and str(path) in line
 
 
-def test_johnk_beta_that_accepts_too_rarely_is_an_error(tmp_path):
+def test_johnk_beta_that_accepts_too_rarely_is_an_error(tmp_path, humidity_beta_model):
     # b = 1e300: v^(1/b) rounds to 1, so no attempt is accepted.  The draw
     # gives up at its block bound, after the scenario has loaded, and the
     # weather layer names the model's file.
-    line, model, _ = simopt_with_humidity_beta(tmp_path, "0.5;1e300")
+    model = humidity_beta_model("0.5;1e300")
+    line, _ = simopt_with_humidity_beta(tmp_path, model)
     assert line == (f"error: {model}: beta(0.0, 100.0, 0.5, 1e+300): fewer than 28 draws "
                     f"in a block of 14,848 uniforms: it accepts too few attempts to draw")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# A fresh interpreter whose affinity mask reads two CPUs, so that a sweep
+# above the fork threshold runs in two processes whatever the host.  With
+# --worker-dies first, the forked worker exits at once.
+SWEEP_ON_TWO_CPUS = """
+import multiprocessing, os, sys
+from pvclean import cli, simopt
+os.sched_getaffinity = lambda pid: {0, 1}
+if sys.argv[1] == "--worker-dies":
+    del sys.argv[1]
+    share_losses = simopt._share_losses
+
+    def die_in_a_worker(*args):
+        if multiprocessing.parent_process() is not None:
+            os._exit(1)
+        return share_losses(*args)
+
+    simopt._share_losses = die_in_a_worker
+status = cli.main(sys.argv[1:])
+print(multiprocessing.active_children(), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("worker-dies", "ended without its share"),
+    ("cannot-draw", "accepts too few attempts to draw"),
+    ("overflow", "non-finite cost for interval 1"),
+])
+def test_a_failing_forked_sweep_is_one_error_line(tmp_path, humidity_beta_model, fault,
+                                                  message):
+    cfg = preset("S1exp", horizon_years=5)
+    if fault == "cannot-draw":
+        cfg = preset("S1exp", horizon_years=5,
+                     weather_model_path=str(humidity_beta_model("0.5;1e300")))
+    elif fault == "overflow":
+        cfg = preset("S1exp", horizon_years=5, tariff=1e308, panel_area=1e308)
+    path = tmp_path / "scenario.json"
+    save_config(cfg, path)
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    argv = ["simopt", "--case", path, "--reps", "30", "--zmax", "10", "--out", tmp_path / "out"]
+    proc = subprocess.run([sys.executable, "-c", SWEEP_ON_TWO_CPUS,
+                           *(["--worker-dies"] if fault == "worker-dies" else []),
+                           *map(str, argv)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    # The error line, then the children left running: none.
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1 and len(err) == 2 and err[1] == "[]", proc.stderr
+    assert err[0].startswith("error:") and message in err[0]
+    assert proc.stdout == ""
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -2,6 +2,7 @@
 all-replications-at-once closed form."""
 
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -25,8 +26,8 @@ from pvclean.rng import replication_entropy
 from pvclean.simopt import (calibrate_panel_area, evaluate_interval, optimize,
                             precompute_weather)
 from pvclean.soiling import SoilingParams
-from pvclean.weather import (KMH_PER_MS, VARIABLES, default_model, generate_weather,
-                             make_streams, save_model, stack_weather)
+from pvclean.weather import (KMH_PER_MS, VARIABLES, ModelFormatError, default_model,
+                             generate_weather, make_streams, save_model, stack_weather)
 
 CFG = ScenarioConfig(tariff=0.073, cleaning_cost=0.0183, horizon_years=1, seed=0)
 
@@ -118,7 +119,7 @@ def test_evaluate_interval_matches_slow_oracle(z):
 
 
 def assert_equals_all_replications_form(z, cfg, reps):
-    weather = precompute_weather(cfg, reps)
+    weather = precompute_weather(cfg, range(reps))
     days = day_arrays(cfg, dict(weather))
     ev = evaluate_interval(z, cfg, reps, days=days)
     energy_loss, cleaning_cost, cleanings = all_replications_episode_costs(z, cfg, weather)
@@ -161,7 +162,7 @@ def test_optimize_curve_equals_single_intervals_and_oracle(horizon, reps, start_
     with (mock.patch.object(simopt, "_CHUNK_ELEMENTS", chunk),
           mock.patch.object(simopt, "_BLOCK_ELEMENTS", block)):
         _, curve = optimize(cfg, z_min, z_max, reps)
-    weather = precompute_weather(cfg, reps)
+    weather = precompute_weather(cfg, range(reps))
     days = day_arrays(cfg, dict(weather))
     zs = range(z_min, z_max + 1)
     assert len(curve) == len(zs)
@@ -248,7 +249,7 @@ def test_precompute_weather_draws_only_the_variables_day_arrays_reads(monkeypatc
                                                                       start_month):
     cfg = replace(CFG, horizon_years=2, start_month=start_month, seed=5)
     streams = recorded_streams(monkeypatch)
-    drawn = precompute_weather(cfg, 3)
+    drawn = precompute_weather(cfg, range(3))
     four = streams[:]
     entropies = [replication_entropy(cfg.seed, r) for r in range(3)]
     all_five = stack_weather(default_model(), cfg.n_days, entropies, start_month)
@@ -303,7 +304,7 @@ def test_interval_one_cleans_daily():
 
 
 def test_cost_decomposition():
-    days = day_arrays(CFG, precompute_weather(CFG, 4))
+    days = day_arrays(CFG, precompute_weather(CFG, range(4)))
     ev = evaluate_interval(10, CFG, 4, days=days)
     energy_loss = simopt._energy_losses([10], CFG, days)[0]
     np.testing.assert_array_equal(ev.costs, energy_loss + ev.cleanings * CFG.cleaning_cost)
@@ -329,14 +330,27 @@ def test_evaluate_interval_accepts_numpy_integer_z():
 
 @pytest.mark.parametrize("replications", [30, 2, 0])
 def test_evaluate_interval_rejects_days_of_other_replications(replications):
-    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    days = day_arrays(CFG, precompute_weather(CFG, range(3)))
     with pytest.raises(ValueError, match=f"days holds 3 replications, not {replications}"):
         evaluate_interval(5, CFG, replications, days=days)
 
 
+def test_evaluate_interval_rejects_days_of_another_horizon():
+    days = day_arrays(CFG, precompute_weather(CFG, range(3)))
+    with pytest.raises(ValueError, match="days holds 365 days, not the config's 730"):
+        evaluate_interval(5, replace(CFG, horizon_years=2), 3, days=days)
+
+
+def test_evaluate_interval_needs_no_days_with_its_energy_loss():
+    days = day_arrays(CFG, precompute_weather(CFG, range(3)))
+    loss = simopt._energy_losses([5], CFG, days)[0]
+    assert (evaluate_interval(5, CFG, 3, energy_loss=loss).costs.tolist()
+            == evaluate_interval(5, CFG, 3, days=days).costs.tolist())
+
+
 @pytest.mark.parametrize("energy_loss", [np.zeros(5), np.zeros(2), np.zeros((3, 1)), np.float64(0.0)])
 def test_evaluate_interval_rejects_energy_loss_of_other_replications(energy_loss):
-    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    days = day_arrays(CFG, precompute_weather(CFG, range(3)))
     message = f"energy_loss has shape {np.shape(energy_loss)}, not (3,)"
     with pytest.raises(ValueError, match=re.escape(message)):
         evaluate_interval(5, CFG, 3, days=days, energy_loss=energy_loss)
@@ -353,7 +367,7 @@ def test_overflowing_costs_are_an_error(search):
 
 
 def test_common_random_numbers_across_intervals():
-    days = day_arrays(CFG, precompute_weather(CFG, 3))
+    days = day_arrays(CFG, precompute_weather(CFG, range(3)))
     a = evaluate_interval(5, CFG, 3, days=days)
     b = evaluate_interval(50, CFG, 3, days=days)
     # Same replication seeds: energy loss must dominate identically, i.e.
@@ -440,3 +454,107 @@ def test_simopt_imports_no_learning_code():
 
 def test_numerical_error_is_one_class():
     assert agents.NumericalError is environment.NumericalError
+
+
+# -- replications in shares, one process each ------------------------------
+
+
+def see_cpus(monkeypatch, n):
+    """Give this process an affinity mask of ``n`` CPUs, as ``taskset`` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def counted_forks(monkeypatch):
+    """The pids of the processes this process forks from now on."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("reps", [7, 31, 1])
+def test_shares_of_the_replications_give_the_costs_of_one_process(monkeypatch, reps):
+    """z* and every cost of a 20-year sweep of z = 1..400, which takes
+    several chunks, are the same whether the replications run in one
+    process or in uneven shares over two or three."""
+    cfg = environment.preset("S5exp")
+    assert cfg.n_days == 7300
+    assert len(list(simopt._chunks(range(1, 401), cfg.n_days))) > 1
+    results = []
+    for cpus in (1, 2, 3):
+        see_cpus(monkeypatch, cpus)
+        forks = counted_forks(monkeypatch)
+        z_star, curve = optimize(cfg, 1, 400, reps)
+        assert len(forks) == min(cpus, reps) - 1
+        results.append((z_star, [e.costs.tobytes() for e in curve],
+                        [e.cleanings.tobytes() for e in curve],
+                        evaluate_interval(7, cfg, reps).costs.tobytes()))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+_SHARE_LOSSES = simopt._share_losses
+
+
+def _exit_in_a_worker(zs, config, replications):
+    """``simopt._share_losses``, but a worker process dies instead."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _SHARE_LOSSES(zs, config, replications)
+
+
+@pytest.mark.parametrize("outcome", ["returns", "cannot-draw", "worker-dies"])
+def test_a_forked_sweep_leaves_no_process_behind(monkeypatch, humidity_beta_model, outcome):
+    """A sweep above the threshold forks its workers and joins them all,
+    whether it returns, its draws fail, or a worker dies."""
+    cfg = environment.preset("S1exp", horizon_years=5)
+    assert 30 * cfg.n_days >= simopt._FORK_REPLICATION_DAYS
+    see_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    if outcome == "returns":
+        optimize(cfg, 1, 10, 30)
+    elif outcome == "cannot-draw":
+        with pytest.raises(ModelFormatError, match="accepts too few attempts to draw"):
+            optimize(replace(cfg, weather_model_path=str(humidity_beta_model("0.5;1e300"))),
+                     1, 10, 30)
+    else:
+        monkeypatch.setattr(simopt, "_share_losses", _exit_in_a_worker)
+        with pytest.raises(simopt.WorkerError, match="ended without its share"):
+            optimize(cfg, 1, 10, 30)
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("horizon, reps", [(1, 2), (1, 30), (5, 1)])
+def test_a_sweep_below_the_threshold_or_of_one_replication_never_forks(monkeypatch,
+                                                                       horizon, reps):
+    """Such as the benchmark's warm-up and CI's smoke runs (1 year, 2
+    replications): a fork would cost more than it saves."""
+    def no_fork():
+        raise AssertionError("forked")
+
+    see_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = environment.preset("S1exp", horizon_years=horizon)
+    optimize(cfg, 1, 10, reps)
+    evaluate_interval(7, cfg, reps)
+    calibrate_panel_area(cfg, 100.0, 1, 10, reps)
+
+
+def test_cli_imports_no_process_pool_code():
+    # Loaded only once a sweep forks: each would add to every command's start.
+    code = ("import sys, pvclean.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pvclean.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
