@@ -123,15 +123,17 @@ def _write_csv(directory: Path, kind: str, header_lines, rows, columns=(), **nam
 
 
 # Upper bounds on the count flags, checked before any weather is drawn, so a
-# mistyped count fails at once instead of exhausting memory.  At the bounds
-# the peak RSS of each process (ru_maxrss of RUSAGE_SELF and
-# RUSAGE_CHILDREN, x86-64 Linux, numpy 2.4, two CPUs) was 234 MB for eval
-# (54 replications of 100 years, while reset holds the drawn weather beside
-# the episode's copy of it); for simopt (273 replications of 20 years) 96 MB
-# in the command's process and 92 MB in the worker that takes the other
-# half, where one process took 151 MB; and 116 MB for a 100,000-interval
-# sweep, which is one replication and so one process.  30 replications of
-# the longest horizon (100 years) stay admitted.
+# mistyped count fails at once instead of running for minutes.  At the
+# bounds the peak RSS of each process (ru_maxrss of RUSAGE_SELF and
+# RUSAGE_CHILDREN, x86-64 Linux, numpy 2.4, two CPUs) was 162 MB for eval
+# (54 replications of 100 years, whose weather reset draws straight into
+# the episode's array); for simopt (273 replications of 20 years) 52 MB in
+# the command's process and 47 MB in the worker that takes the other half,
+# each drawing and pricing 32 replications at a time; and 114 MB for a
+# 100,000-interval sweep, which is one replication and so one process.  So
+# time, not memory, sets the replication-days bound: eval of the stored
+# policy takes about 5 s at it.  30 replications of the longest horizon
+# (100 years) stay admitted.
 _MAX_REPLICATION_DAYS = 2_000_000
 _MAX_SWEEP = 100_000                # intervals x replications
 _MAX_TRAIN_EPISODES = 100_000

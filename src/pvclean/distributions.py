@@ -293,10 +293,11 @@ def _c(ufunc, x, *args) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-# ndtri works through blocks of at most this many values, so that its
-# temporaries stay small: in cache, and reused by the allocator rather than
-# mapped afresh (and page-faulted in) on every call.
-_BLOCK = 1 << 15
+# ndtri works through blocks of at most this many values, and sample_days
+# maps its normal days a block of them at a time, so that the temporaries
+# stay small: eight or so 64 KB arrays, in cache, and reused by the
+# allocator rather than mapped afresh (and page-faulted in) on every call.
+_BLOCK = 1 << 13
 
 
 def ndtri(p) -> np.ndarray:
@@ -308,12 +309,17 @@ def ndtri(p) -> np.ndarray:
     two logs of the tails, y <= exp(-2) from either end, are the C
     library's (:func:`_c`).
     """
-    p = np.asarray(p, dtype=float)
-    flat = p.ravel()
-    x = np.empty(flat.shape)
+    x = np.array(p, dtype=float)
+    _ndtri_in_place(x)
+    return x
+
+
+def _ndtri_in_place(x: np.ndarray) -> None:
+    """Replace each value of ``x``, an array contiguous in C or Fortran order,
+    by its :func:`ndtri`, a block of at most ``_BLOCK`` values at a time."""
+    flat = x.ravel(order="K")  # a view, in memory order
     for i in range(0, flat.size, _BLOCK):
-        x[i:i + _BLOCK] = _ndtri_block(flat[i:i + _BLOCK])
-    return x.reshape(p.shape)
+        flat[i:i + _BLOCK] = _ndtri_block(flat[i:i + _BLOCK])
 
 
 def _ndtri_block(p: np.ndarray) -> np.ndarray:
@@ -608,16 +614,21 @@ def sample_many(spec: DistributionSpec, streams, n: int, clamp: bool = True) -> 
     return x[0] if one else x
 
 
-def sample_days(specs: list, index, streams: list) -> np.ndarray:
+def sample_days(specs: list, index, streams: list, out: np.ndarray | None = None) -> np.ndarray:
     """Clamped draws for a run of days, day i from ``specs[index[i]]``, one row per stream.
+
+    Draws into ``out``, shaped (len(streams), len(index)), if given: a view
+    such as one variable's column of a day-major array.
 
     Row r is draw-for-draw identical to drawing each day in order, one value
     at a time, from ``streams[r]``: the same values, and the stream left with
     the same ``counter`` and the same next uniform.  Each maximal stretch of
-    inverse-transform days takes one ``uniforms`` call per stream, one
-    :func:`ndtri` call maps the uniforms of every day drawn from a normal,
-    and each spec's transform runs once over all rows; each stretch of days
-    on one rejection spec takes one :func:`sample_many` call over all streams.
+    inverse-transform days takes one ``uniforms`` call per stream, the
+    uniforms of the days drawn from a normal are mapped through :func:`ndtri`
+    in place, a block of at most ``_BLOCK`` values at a time, so the draw
+    holds no copy of all of them, and each spec's transform runs once over
+    all rows; each stretch of days on one rejection spec takes one
+    :func:`sample_many` call over all streams.
     """
     index = np.asarray(index, dtype=np.intp)
     kinds = np.array([_FAMILIES[spec.family][2] for spec in specs])
@@ -627,17 +638,28 @@ def sample_days(specs: list, index, streams: list) -> np.ndarray:
     key = np.where(rejection[index], index, -1)
     starts = np.flatnonzero(np.diff(key, prepend=-2))
     # Inverse-transform days hold their uniforms until they are transformed.
-    x = np.empty((len(streams), len(index)))
+    x = np.empty((len(streams), len(index))) if out is None else out
     for start, stop in zip(starts, [*starts[1:], len(index)]):
         if key[start] < 0:
             for row, stream in zip(x, streams):
                 row[start:stop] = stream.uniforms(stop - start)
         else:
             x[:, start:stop] = sample_many(specs[key[start]], streams, stop - start)
-    normal = np.flatnonzero((kinds == _NORMAL)[index])
-    x[:, normal] = ndtri(x[:, normal])
+    _ndtri_columns(x, np.flatnonzero((kinds == _NORMAL)[index]))
     for i in np.flatnonzero(~rejection):
         spec = specs[i]
         days = np.flatnonzero(index == i)
         x[:, days] = np.clip(_inverse(spec, x[:, days]), spec.clamp_lo, spec.clamp_hi)
     return x
+
+
+def _ndtri_columns(x: np.ndarray, columns: np.ndarray) -> None:
+    """``x[:, columns] = ndtri(x[:, columns])``, a block of at most ``_BLOCK``
+    values (one column at least) at a time, each mapped in place: :func:`ndtri`
+    works value by value, so the result is the same bit for bit."""
+    step = max(1, _BLOCK // max(1, len(x)))
+    for i in range(0, columns.size, step):
+        block = columns[i:i + step]
+        values = x[:, block]
+        _ndtri_in_place(values)
+        x[:, block] = values

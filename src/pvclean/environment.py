@@ -272,24 +272,47 @@ def observation_scales(config: ScenarioConfig) -> np.ndarray:
 DAY_VARIABLES = ("wind_speed", "particulate_matter", "irradiance", "relative_humidity")
 
 
+# day_arrays computes a block of days of at most this many values at a time
+# (a day at least), so that its temporaries stay in cache whatever the size
+# of the draw.
+_DAY_VALUES = 1 << 13
+
+
 def day_arrays(config: ScenarioConfig, weather: dict) -> dict:
     """Schedule-independent per-day quantities, shaped (replications, n_days).
 
     Daily calibrated deposition, the day's energy price factor
     tariff * area * GHI/1000, and the age factor (shaped (n_days,)) do not
     depend on the cleaning schedule, so they are computed once per weather
-    set.  ``weather`` needs only the ``DAY_VARIABLES``, and is consumed:
-    each is popped as it is read, so that a drawn array is freed once the
-    day array that reads it exists.  A caller that reads the weather again
-    passes a copy, ``dict(weather)``.
+    set.  ``weather`` needs only the ``DAY_VARIABLES``, each (replications,
+    n_days) or a view of that shape, such as a column of the day-major
+    array that :func:`~pvclean.weather.stack_weather` fills.  Deposition and
+    price are computed a block of days at a time (``_DAY_VALUES`` values),
+    each from a view of the block, so the temporaries stay block-sized; the
+    operations are elementwise, so every value is that of the whole-array
+    expression bit for bit.  The dict is consumed: each variable is popped
+    as it is read, so that a drawn array is freed once the day array that
+    reads it exists.  A caller that reads the weather again passes a copy,
+    ``dict(weather)``.
     """
     sp = config.soiling
-    n_days = weather["wind_speed"].shape[1]
-    d_cal = phys.calibrate(
-        phys.daily_soiling(weather.pop("wind_speed") / KMH_PER_MS,  # the law wants m/s
-                           weather.pop("particulate_matter")),
-        weather.pop("relative_humidity"), sp.humidity_k)
-    price = config.tariff * config.panel_area * (weather.pop("irradiance") / 1000.0)
+    n_reps, n_days = weather["wind_speed"].shape
+    step = max(1, _DAY_VALUES // max(1, n_reps))
+    blocks = [slice(t, t + step) for t in range(0, n_days, step)]
+    d_cal = np.empty((n_reps, n_days))
+    ws, pm, rh = (weather.pop(var) for var in
+                  ("wind_speed", "particulate_matter", "relative_humidity"))
+    for b in blocks:
+        d_cal[:, b] = phys.calibrate(
+            phys.daily_soiling(ws[:, b] / KMH_PER_MS, pm[:, b]),  # the law wants m/s
+            rh[:, b], sp.humidity_k)
+    del ws, pm, rh
+    irradiance = weather.pop("irradiance")
+    price = np.empty((n_reps, n_days))
+    factor = config.tariff * config.panel_area
+    for b in blocks:
+        price[:, b] = factor * (irradiance[:, b] / 1000.0)
+    del irradiance
     tau = phys.degradation_factor(np.arange(n_days) // 365, sp.annual_degradation)
     return {"d_cal": d_cal, "price": price, "tau": tau,
             # Energy loss is price * (tau*eff_max - eff); the first term
@@ -366,7 +389,9 @@ class CleaningEnv:
 
     ``reset`` draws the whole weather trajectory (the draws are day-ordered
     per variable, so this is draw-for-draw identical to sampling inside
-    ``step``) and precomputes the schedule-independent day arrays.  A step
+    ``step``) straight into the episode's day-major array, one variable at
+    a time, and precomputes the schedule-independent day arrays from views
+    of it, so the weather is held once.  A step
     only cleans and accumulates soiling, the state the next observation
     shows, and records the day's soiling and cleaning.  Days are priced
     when read: each :class:`StepResult` prices its own day, and
@@ -405,11 +430,12 @@ class CleaningEnv:
         # Until the draw succeeds there is no episode to step.
         self._episode = None
         self.done = True
-        weather = stack_weather(self.model, cfg.n_days, seeds, cfg.start_month)
-        # Copied out first: day_arrays consumes the weather dict.
-        stacked = np.stack([weather[var].T for var in VARIABLES], axis=-1)
+        # Each variable is drawn straight into the episode's day-major array,
+        # and day_arrays reads views of it, before wind becomes m/s there.
+        stacked = np.empty((cfg.n_days, len(seeds), len(VARIABLES)))
+        days = day_arrays(cfg, stack_weather(self.model, cfg.n_days, seeds, cfg.start_month,
+                                             VARIABLES, stacked))
         stacked[..., VARIABLES.index("wind_speed")] /= KMH_PER_MS
-        days = day_arrays(cfg, weather)
         self._episode = _Episode(cfg, days, stacked)
         self._shape = (len(seeds),)
         self.day = 0

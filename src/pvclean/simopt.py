@@ -21,8 +21,11 @@ speed, particulate matter, irradiance and relative humidity); only
 its own random stream, so every value drawn is the one the environment
 draws for the same replication.  ``day_arrays`` consumes the drawn
 weather, freeing each variable once the day array that reads it exists,
-so the full draw never sits beside the deposition and calibration
-temporaries.
+and computes a block of days at a time, so the full draw never sits
+beside whole-array deposition and calibration temporaries.  A share of
+more than ``_REPLICATION_BLOCK`` (32) replications is drawn, turned into
+day arrays and priced 32 at a time on one plan of the sweep's chunks, so
+its peak memory does not grow with the share.
 
 A large sweep runs on every CPU this process may use
 (``os.sched_getaffinity``, which ``taskset`` limits): the replications
@@ -95,7 +98,45 @@ def _chunks(zs, n_days):
         yield run
 
 
-def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
+def _plan(zs, n_days: int) -> list:
+    """The chunks of :func:`_energy_losses`' work on ``zs`` over ``n_days``
+    days: what depends on the intervals and the horizon alone, so that the
+    blocks of replications of a share reuse it.
+
+    Each is a run of intervals (:func:`_chunks`), the blocks of segment
+    starts whose rows it computes, each (starts, row length, offset of the
+    first row), the size of its row buffer, and the offset of each
+    interval's segment starts in that buffer.
+    """
+    plan = []
+    for chunk in _chunks(zs, n_days):
+        z_max = max(chunk)
+        # The longest interval that starts a segment on each day, 0 if none.
+        longest = np.zeros(n_days, dtype=np.intp)
+        for z in chunk:
+            np.maximum(longest[::z], z, out=longest[::z])
+        # Rows are rounded up to a few lengths, each 2/3 of the next, so
+        # they take a dozen length classes instead of one per distinct
+        # length, for ~18 % more elementwise work at z = 1..120.
+        lengths = [z_max]
+        while lengths[-1] > 1:
+            lengths.append(lengths[-1] * 2 // 3)
+        lengths = np.array(lengths[::-1])
+        used = np.flatnonzero(longest)
+        length = lengths[np.searchsorted(lengths, longest[used])]
+        offset = np.zeros(n_days, dtype=np.intp)   # of each start's row in the buffer
+        blocks, size = [], 0
+        for n in np.unique(length):
+            starts = used[length == n]
+            offset[starts] = size + n * np.arange(starts.size)
+            step = max(1, _BLOCK_ELEMENTS // n)
+            blocks += [(starts[i:i + step], n, size + i * n) for i in range(0, starts.size, step)]
+            size += starts.size * n
+        plan.append((chunk, blocks, size, [offset[::z].copy() for z in chunk]))
+    return plan
+
+
+def _energy_losses(zs, config: ScenarioConfig, days: dict, plan=None) -> np.ndarray:
     """Energy-loss cost of fixed-interval episodes, shaped (len(zs), replications).
 
     Cleaning happens on mornings z, 2z, ... (days-since-clean reaches z),
@@ -113,62 +154,44 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
     summation are those of the whole-array expression ``(price * max(tau *
     (c3*s**3 + c2*s**2 + c1*s + eff_max), 0)).sum(axis=(1, 2))`` over
     (replications, n_seg, z), which the tests keep as the reference, so
-    every cost equals it bit for bit.
+    every cost equals it bit for bit.  ``plan`` is :func:`_plan` of ``zs``,
+    made here if not given.
     """
     sp = config.soiling
     c3, c2, c1 = sp.cubic
     n_reps, n_days = days["d_cal"].shape
     earned = np.empty((len(zs), n_reps))
     row = 0
-    for chunk in _chunks(zs, n_days):
+    for chunk, planned, size, offsets in _plan(zs, n_days) if plan is None else plan:
         z_max = max(chunk)
-        # The longest interval that starts a segment on each day, 0 if none.
-        longest = np.zeros(n_days, dtype=np.intp)
-        for z in chunk:
-            np.maximum(longest[::z], z, out=longest[::z])
-        # Rows are rounded up to a few lengths, each 2/3 of the next, so
-        # they take a dozen length classes instead of one per distinct
-        # length, for ~18 % more elementwise work at z = 1..120.
-        lengths = [z_max]
-        while lengths[-1] > 1:
-            lengths.append(lengths[-1] * 2 // 3)
-        lengths = np.array(lengths[::-1])
-        used = np.flatnonzero(longest)
-        length = lengths[np.searchsorted(lengths, longest[used])]
-
         # Days past the horizon hold zero deposition, price and age factor,
-        # as in the padded last segment of the whole-array form.
+        # as in the padded last segment of the whole-array form.  One window
+        # view of each buffer serves every length: a row of length n that
+        # starts on day s is d_win[s, :n], and the first z entries of the
+        # rows at `offsets` are rows_win[offsets, :z], so `rows` has z_max
+        # spare entries for the last row's window.
         d = np.zeros(n_days + z_max)
         price = np.zeros(n_days + z_max)
         tau = np.zeros(n_days + z_max)
         tau[:n_days] = days["tau"]
-        offset = np.zeros(n_days, dtype=np.intp)   # of each start's row in `rows`
-        blocks, size = [], 0
-        for n in np.unique(length):
-            starts = used[length == n]
-            offset[starts] = size + n * np.arange(starts.size)
-            d_win, price_win, tau_win = (sliding_window_view(x, n) for x in (d, price, tau))
-            step = max(1, _BLOCK_ELEMENTS // n)
-            # The age factor does not depend on the replication, so each
-            # block's rows of it are gathered once.
-            blocks += [(starts[i:i + step], n, size + i * n, d_win, price_win,
-                        tau_win[starts[i:i + step]])
-                       for i in range(0, starts.size, step)]
-            size += starts.size * n
-        rows = np.empty(size)
+        d_win, price_win, tau_win = (sliding_window_view(x, z_max) for x in (d, price, tau))
+        rows = np.empty(size + z_max)
+        rows_win = sliding_window_view(rows, z_max)
+        # The age factor does not depend on the replication, so each block's
+        # rows of it are gathered once.
+        blocks = [(starts, n, at, tau_win[starts, :n]) for starts, n, at in planned]
         largest = max(starts.size * n for starts, n, *_ in blocks)
         soil_buf, term_buf = np.empty(largest), np.empty(largest)
-        segments = [(sliding_window_view(rows, z), offset[::z]) for z in chunk]
 
         for r in range(n_reps):
             d[:n_days] = days["d_cal"][r]
             price[:n_days] = days["price"][r]
-            for starts, n, at, d_win, price_win, tau_rows in blocks:
+            for starts, n, at, tau_rows in blocks:
                 shape = (starts.size, n)
                 poly = rows[at:at + starts.size * n].reshape(shape)
                 soil = soil_buf[:poly.size].reshape(shape)
                 term = term_buf[:poly.size].reshape(shape)
-                np.cumsum(d_win[starts], axis=1, out=soil)
+                np.cumsum(d_win[starts, :n], axis=1, out=soil)
                 # The running minimum stops at k, one past the latest low of
                 # the block's rows: from its first argmin on, a row's running
                 # minimum is the row's minimum, so columns k on subtract
@@ -196,9 +219,9 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
                 np.add(poly, sp.eff_max, out=poly)
                 np.multiply(tau_rows, poly, out=poly)
                 np.maximum(poly, 0.0, out=poly)
-                np.multiply(price_win[starts], poly, out=poly)
-            for i, (window, offsets) in enumerate(segments):
-                earned[row + i, r] = window[offsets][None].sum(axis=(1, 2))[0]
+                np.multiply(price_win[starts, :n], poly, out=poly)
+            for i, (z, offset) in enumerate(zip(chunk, offsets)):
+                earned[row + i, r] = rows_win[offset, :z][None].sum(axis=(1, 2))[0]
         row += len(chunk)
     return days["clean_panel_loss"] - earned
 
@@ -212,11 +235,25 @@ def _energy_losses(zs, config: ScenarioConfig, days: dict) -> np.ndarray:
 _FORK_REPLICATION_DAYS = 30_000
 
 
+# A share of more replications than this is drawn, turned into day arrays
+# and priced this many at a time, so that its peak memory does not grow
+# with the share; the paper's 30-replication sweep is one block.
+_REPLICATION_BLOCK = 32
+
+
 def _share_losses(zs, config: ScenarioConfig, replications: range) -> np.ndarray:
     """``_energy_losses`` of ``zs`` over the replications ``replications``,
-    drawn here; shaped (len(zs), len(replications))."""
-    return _energy_losses(zs, config,
-                          day_arrays(config, precompute_weather(config, replications)))
+    drawn here ``_REPLICATION_BLOCK`` at a time; shaped (len(zs),
+    len(replications)).  Rows are independent, so the costs are those of
+    one block of all of them bit for bit.  The blocks share one
+    :func:`_plan`."""
+    step = _REPLICATION_BLOCK
+    plan = _plan(zs, config.n_days)
+    return np.concatenate(
+        [_energy_losses(zs, config,
+                        day_arrays(config, precompute_weather(config, replications[i:i + step])),
+                        plan)
+         for i in range(0, len(replications), step)], axis=1)
 
 
 def _sweep(zs, config: ScenarioConfig, replications: int) -> np.ndarray:
@@ -224,8 +261,9 @@ def _sweep(zs, config: ScenarioConfig, replications: int) -> np.ndarray:
     shaped (len(zs), replications), one contiguous share of them per CPU.
 
     This process prices the first share and a worker forked for the sweep
-    each other one.  Each draws its own replications, so the weather never
-    crosses a pipe.  With one CPU, below ``_FORK_REPLICATION_DAYS``, or
+    each other one.  Each draws its own replications, a block of
+    ``_REPLICATION_BLOCK`` at a time (:func:`_share_losses`), so the
+    weather never crosses a pipe.  With one CPU, below ``_FORK_REPLICATION_DAYS``, or
     where ``os.sched_getaffinity`` (and with it ``fork``) is missing, the
     sweep is one share.  Raises ``WorkerError`` if a worker dies.
     """

@@ -138,14 +138,18 @@ def month_of_day(day_index, start_month: int = 1):
 
 
 def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
-                     start_month: int = 1, variables=VARIABLES) -> dict:
+                     start_month: int = 1, variables=VARIABLES,
+                     out: np.ndarray | None = None) -> dict:
     """Draw ``n_days`` of weather for each :func:`make_streams` dict in ``streams``.
 
     Returns one (len(streams), n_days) array per entry of ``variables``
-    (default: all five), in that order.  Row r is draw-for-draw identical
-    to drawing each day in order, one value at a time, from that day's
-    month with ``streams[r]``: the same values, and every stream left with
-    the same ``counter`` and the same next uniform.  Each variable has its
+    (default: all five), in that order.  With ``out``, shaped (n_days,
+    len(streams), len(variables)), each variable is drawn straight into its
+    column ``out[..., j]``, so no variable is held apart from it, and the
+    arrays returned are views of ``out``, ``out[..., j].T``.  Row r is
+    draw-for-draw identical to drawing each day in order, one value at a
+    time, from that day's month with ``streams[r]``: the same values, and
+    every stream left with the same ``counter`` and the same next uniform.  Each variable has its
     own stream, so a variable that is not drawn leaves its stream untouched
     and the others' draws the same: Sim-Opt draws only the four variables
     its costs read, and only :class:`~pvclean.environment.CleaningEnv`
@@ -159,21 +163,31 @@ def generate_weather(model: MonthlyWeatherModel, n_days: int, streams: list,
         raise ValueError(f"n_days must be an integer >= 0, got {n_days!r}")
     if not streams:
         raise ValueError("need at least one replication")
+    shape = (n_days, len(streams), len(variables))
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, not {out.shape}")
     index = month_of_day(np.arange(n_days), start_month) - 1
+
+    def draw(var, into=None):
+        return sample_days([model.spec(m, var) for m in range(1, 13)], index,
+                           [s[var] for s in streams], into)
+
     try:
-        return {var: sample_days([model.spec(m, var) for m in range(1, 13)], index,
-                                 [s[var] for s in streams])
-                for var in variables}
+        if out is None:
+            return {var: draw(var) for var in variables}
+        return {var: draw(var, out[..., j].T) for j, var in enumerate(variables)}
     except ParameterError as exc:
         raise ModelFormatError(f"{model.source or 'weather model'}: {exc}") from None
 
 
 def stack_weather(model: MonthlyWeatherModel, n_days: int, entropies: list,
-                  start_month: int = 1, variables=VARIABLES) -> dict:
-    """:func:`generate_weather` of ``variables`` on the :func:`make_streams` of each entropy.
+                  start_month: int = 1, variables=VARIABLES,
+                  out: np.ndarray | None = None) -> dict:
+    """:func:`generate_weather` of ``variables`` on the :func:`make_streams` of
+    each entropy, into ``out`` if given.
 
     Row r is exactly the weather replication ``entropies[r]`` gets when
     drawn alone.
     """
     return generate_weather(model, n_days, [make_streams(e) for e in entropies],
-                            start_month, variables)
+                            start_month, variables, out)

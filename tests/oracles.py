@@ -21,14 +21,22 @@ for bit.
 its own day and kept a running total: the environment, which prices days
 only when they are read, must equal it bit for bit.
 
+``whole_normal_days`` is ``distributions.sample_days``' normal mapping as it
+was before it mapped a block of days at a time in place: one ``ndtri`` call
+over a copy of every normal day, here scipy's.
+
 ``reading_day_arrays`` is ``environment.day_arrays`` as it was before it
-consumed its weather dict, and ``one_pass_total_cost`` is
+consumed its weather dict or computed a block of days at a time, and ``one_pass_total_cost`` is
 ``_Episode.total_cost`` as it was before it priced a block of days at a
 time, one accumulation over every day played: the module's forms must
 equal them bit for bit.
+
+``traced_peak`` is not an oracle: it measures what a call holds, for the
+tests that bound the memory of a draw, a reset or a sweep.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.special import ndtri
@@ -288,6 +296,11 @@ def priced_steps(config, seeds, actions) -> tuple:
     return rewards, infos, cumulative_cost, cumulative_cleanings
 
 
+def whole_normal_days(x, normal) -> None:
+    """Map the columns ``normal`` of ``x`` through ``ndtri``, all at once."""
+    x[:, normal] = ndtri(x[:, normal])
+
+
 def reading_day_arrays(config, weather) -> dict:
     """``day_arrays`` of ``weather``, read without popping any variable."""
     sp = config.soiling
@@ -307,3 +320,21 @@ def one_pass_total_cost(episode, t1: int) -> np.ndarray:
     costs = np.zeros((t1 + 1, *episode.soiling.shape[1:]))
     costs[1:] = episode.price(0, t1)[3]
     return np.add.accumulate(costs, axis=0)[-1]
+
+
+def traced_peak(f):
+    """``f()`` and the peak bytes traced while it ran, over those at its start.
+
+    numpy reports each array's data to ``tracemalloc``, so the peak is
+    exact bytes on any host."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pvclean.rng import RandomStream
 from pvclean.weather import VARIABLES, default_model
 
 from oracles import (ARITY, cheng_accept, cheng_one_by_one, gamma_one_by_one, is_cheng,
-                     johnk_one_by_one, ndtri1, one_by_one, spec_is_invalid)
+                     johnk_one_by_one, ndtri1, one_by_one, spec_is_invalid, whole_normal_days)
 
 
 def draws(spec, n, seed=0, clamp=False):
@@ -263,6 +264,35 @@ def test_ndtri_blocks_equal_per_element_results(blocks, offset, rows, seed, cuts
     edges = sorted({0, size, *[c for c in cuts if c < size]})
     pieces = [distributions.ndtri(p[a:b]) for a, b in zip(edges, edges[1:])]
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5), days=st.integers(0, 60), seed=st.integers(0, 2 ** 32),
+       block=st.sampled_from([1, 7, distributions._BLOCK]), day_major=st.booleans(),
+       data=st.data())
+def test_normal_days_a_block_at_a_time_equal_the_whole_array_mapping(rows, days, seed, block,
+                                                                      day_major, data):
+    """``sample_days`` maps its normal days through ``ndtri`` in place, a block
+    of at most ``_BLOCK`` values at a time; the days it leaves alone keep
+    their bits, and the rest equal one ``ndtri`` of a copy of every normal
+    day, in an array of its own or in a column of a day-major array."""
+    u = RandomStream(seed).uniforms(rows * days).reshape(rows, days)
+    special = data.draw(st.lists(st.tuples(st.integers(0, max(0, u.size - 1)),
+                                           st.sampled_from([0.0, 1.0, _EXP_M2, 1.0 - _EXP_M2,
+                                                            5e-324])),
+                                 max_size=4 if u.size else 0), label="special")
+    for k, v in special:
+        u.flat[k] = v
+    normal = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=days, max_size=days),
+                                      label="normal"))
+    expect = u.copy()
+    whole_normal_days(expect, normal)
+    # As generate_weather passes it: variable 1 of a (days, rows, 3) array.
+    x = np.empty((days, rows, 3))[..., 1].T if day_major else np.empty((rows, days))
+    x[...] = u
+    with mock.patch.object(distributions, "_BLOCK", block):
+        distributions._ndtri_columns(x, normal)
+    assert x.tobytes() == expect.tobytes()
 
 
 # -- formula oracles (exact replay of the stream's uniforms) ----------------

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import one_pass_total_cost, priced_steps, reading_day_arrays
+from oracles import one_pass_total_cost, priced_steps, reading_day_arrays, traced_peak
 from pvclean import environment
 from pvclean import soiling as phys
 from pvclean.environment import (CALIBRATED_PANEL_AREA, DAY_VARIABLES, FEATURE_SCALES,
@@ -34,7 +34,8 @@ from pvclean.environment import (CALIBRATED_PANEL_AREA, DAY_VARIABLES, FEATURE_S
                                  day_arrays, save_config)
 from pvclean.simopt import precompute_weather
 from pvclean.soiling import SoilingParams
-from pvclean.weather import KMH_PER_MS, generate_weather, make_streams
+from pvclean.weather import (KMH_PER_MS, VARIABLES, generate_weather, make_streams,
+                             stack_weather)
 
 SMALL = dict(tariff=0.073, cleaning_cost=0.0183, horizon_years=1)
 
@@ -548,8 +549,9 @@ def day_weather(draw):
     to 60 km/h and particulate matter of 0 to 2 give deposition of both
     signs, a fifth of the relative humidities lie below ``humidity_k``, so
     that the removal factor min(1, k / RH) is clamped at 1, and about one
-    day in twenty is given a deposition of +0.0 or -0.0.  Returns the
-    weather, ``humidity_k`` and the (mask, signed zeros) of those days."""
+    day in twenty is marked for a deposition of +0.0 or -0.0: a wind speed
+    of ``ZERO_WIND`` and a particulate matter of 3 or 4 (``signed_zero``).
+    Returns the weather and ``humidity_k``."""
     reps, years = draw(st.integers(1, 4), label="reps"), draw(st.integers(1, 3), label="years")
     k = draw(st.floats(0.01, 10.0), label="humidity_k")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -562,36 +564,58 @@ def day_weather(draw):
                                       rng.uniform(k, 100.0, shape)),
     }
     zero = rng.random(shape) < 0.05
-    return weather, k, (zero, np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero])
+    weather["wind_speed"][zero] = ZERO_WIND
+    weather["particulate_matter"][zero] = np.where(rng.random(shape) < 0.5, 3.0, 4.0)[zero]
+    return weather, k
+
+
+# The wind speed, in km/h, of the days day_weather marks for a signed zero
+# deposition, which no finite weather makes the law give as -0.0.
+ZERO_WIND = 61.0
+
+
+def signed_zero(law):
+    """``law`` with a deposition of +0.0 on the days marked with particulate
+    matter 3 and -0.0 on those marked 4, whichever block of days it is given."""
+    def daily_soiling(ws, pm):
+        deposition = law(ws, pm)
+        marked = ws == ZERO_WIND / KMH_PER_MS
+        deposition[marked] = np.where(pm[marked] == 3.0, 0.0, -0.0)
+        return deposition
+
+    return daily_soiling
 
 
 @settings(max_examples=40, deadline=None)
 @given(drawn=day_weather(), annual_degradation=st.floats(0.0, 0.99),
-       tariff=st.floats(1e-3, 10.0), panel_area=st.floats(1e-2, 10.0))
+       tariff=st.floats(1e-3, 10.0), panel_area=st.floats(1e-2, 10.0),
+       block=st.sampled_from([1, 7, environment._DAY_VALUES]), day_major=st.booleans())
 def test_day_arrays_equal_the_reading_form_and_consume_their_dict(drawn, annual_degradation,
-                                                                  tariff, panel_area):
-    """``day_arrays`` pops each variable as it reads it: its arrays equal those
-    of the form that only reads, bit for bit, and it leaves its dict empty.
-    Signed zero deposition reaches ``calibrate`` through a patched
-    ``daily_soiling``, as no finite weather makes the law give -0.0."""
-    weather, k, (zero, zeros) = drawn
+                                                                  tariff, panel_area, block,
+                                                                  day_major):
+    """``day_arrays`` pops each variable as it reads it, and computes a block
+    of days at a time: its arrays equal those of the whole-array form that
+    only reads, bit for bit, whatever the block, whether the weather is its
+    own arrays or views of a day-major array, as ``CleaningEnv.reset``
+    passes it, and it leaves its dict empty.  Signed zero deposition
+    reaches ``calibrate`` through a patched ``daily_soiling``, as no finite
+    weather makes the law give -0.0."""
+    weather, k = drawn
     cfg = ScenarioConfig(tariff=tariff, cleaning_cost=0.0, panel_area=panel_area,
                          soiling=SoilingParams(humidity_k=k,
                                                annual_degradation=annual_degradation))
-    law = phys.daily_soiling
-
-    def daily_soiling(ws, pm):
-        deposition = law(ws, pm)
-        deposition[zero] = zeros
-        return deposition
-
-    with mock.patch.object(phys, "daily_soiling", daily_soiling):
+    consumed = dict(weather)
+    if day_major:
+        stacked = np.stack([weather[var].T for var in DAY_VARIABLES], axis=-1)
+        consumed = {var: stacked[..., j].T for j, var in enumerate(DAY_VARIABLES)}
+    with (mock.patch.object(phys, "daily_soiling", signed_zero(phys.daily_soiling)),
+          mock.patch.object(environment, "_DAY_VALUES", block)):
         expect = reading_day_arrays(cfg, weather)
-        consumed = dict(weather)
         days = day_arrays(cfg, consumed)
     assert consumed == {}
     assert list(weather) == list(DAY_VARIABLES)  # the caller's own dict is untouched
     assert (expect["d_cal"] < 0).any() and (expect["d_cal"] > 0).any()
+    assert (np.signbit(expect["d_cal"]) & (expect["d_cal"] == 0.0)).any()
     assert list(days) == list(expect)
     for key, value in expect.items():
         assert days[key].shape == value.shape, key
@@ -627,34 +651,18 @@ def test_total_cost_a_block_at_a_time_equals_one_pass(seeds, years, reward_mode,
             assert env.rewards()[-1].tobytes() == (-expect).tobytes()
 
 
-def traced_peak(f):
-    """``f()`` and the peak bytes traced while it ran, over those at its start.
-
-    numpy reports each array's data to ``tracemalloc``, so the peak is
-    exact bytes on any host."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    start = tracemalloc.get_traced_memory()[0]
-    try:
-        result = f()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def test_day_arrays_free_each_drawn_variable_once_read():
     """Drawing and day arrays of the paper's 20-year, 30-replication sweep peak
-    below 7.5 (replications, n_days) arrays: 6.5, the drawing's own peak.
-    Holding all four drawn arrays through the deposition and calibration
-    temporaries, as ``oracles.reading_day_arrays`` does, peaks at 9.1."""
+    below 6 (replications, n_days) arrays: 5.2, while the four drawn arrays
+    and the deposition are held through the deposition's block temporaries;
+    the drawing's own peak is 4.8.  Holding all four drawn arrays through
+    whole-array deposition and calibration temporaries, as
+    ``oracles.reading_day_arrays`` does, peaks at 9.1."""
     cfg = preset("S3exp")
     reps = 30
     days, peak = traced_peak(lambda: day_arrays(cfg, precompute_weather(cfg, range(reps))))
     assert days["d_cal"].shape == (reps, cfg.n_days)
-    assert peak < 7.5 * days["d_cal"].nbytes
+    assert peak < 6 * days["d_cal"].nbytes
 
 
 def test_total_cost_holds_one_block_of_days_at_a_time():
@@ -671,12 +679,18 @@ def test_total_cost_holds_one_block_of_days_at_a_time():
 
 
 def test_a_second_reset_peaks_no_higher_than_the_first():
-    """Total traced memory during a reset of 30 replications x 5 years: 13.9
+    """Total traced memory during a reset of 30 replications x 5 years: 9.9
     (replications, n_days) arrays the first time and, with the previous
     episode freed before drawing, the second time too; holding it through
     the draw peaked at 22.1.  The allowance of 1 % of an array covers the
     few (replications,) state arrays that stay until the reset replaces
-    them."""
+    them, and Python's free lists, which ``tracemalloc`` counts as held:
+    what the first reset frees after its peak (the kwargs dicts of numpy's
+    function wrappers, for one) stays listed through the second.  So the
+    peak must come late, once the episode's arrays exist: drawn into a
+    separate array and copied in, the weather peaked 0.8 of an array higher
+    during the last variable's draw, and the second reset came out 5.5 to
+    8.9 KB over the first instead of 2.3 to 2.6 KB."""
     cfg = ScenarioConfig(**{**SMALL, "horizon_years": 5})
     env = CleaningEnv(cfg)
     seeds = list(range(30))
@@ -694,6 +708,36 @@ def test_a_second_reset_peaks_no_higher_than_the_first():
         if not tracing:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 0.01 * array
+
+
+@pytest.mark.parametrize("include_humidity", [False, True])
+def test_reset_draws_the_weather_of_the_stacked_dict(include_humidity):
+    """``reset`` draws each variable straight into the episode's day-major
+    array: it equals ``np.stack`` of the dict form with wind in m/s, bit for
+    bit, and so do the observations, with or without relative humidity
+    shown."""
+    cfg = ScenarioConfig(**{**SMALL, "horizon_years": 2}, include_humidity=include_humidity)
+    seeds = [0, (1, 0, 5), 7]
+    weather = stack_weather(cfg.weather_model(), cfg.n_days, seeds)
+    weather["wind_speed"] = weather["wind_speed"] / KMH_PER_MS
+    expect = np.stack([weather[var].T for var in VARIABLES], axis=-1)
+    env = CleaningEnv(cfg)
+    obs = env.reset(seeds)
+    assert env._episode.weather.tobytes() == expect.tobytes()
+    shown = expect[0][:, :cfg.obs_dim - 2] / observation_scales(cfg)[2:]
+    assert obs[:, 2:].tobytes() == shown.tobytes()
+
+
+def test_a_first_reset_holds_its_weather_once():
+    """A first reset of 30 replications x 5 years peaks below 10.5
+    (replications, n_days) arrays: 8.3, near what the episode keeps (the
+    five-variable weather, deposition, price and soiling, 8.1).  Holding the
+    drawn arrays beside their stacked copy peaked at 12.2."""
+    cfg = ScenarioConfig(**{**SMALL, "horizon_years": 5})
+    env = CleaningEnv(cfg)
+    seeds = list(range(30))
+    _, peak = traced_peak(lambda: env.reset(seeds))
+    assert peak < 10.5 * len(seeds) * cfg.n_days * 8
 
 
 def test_a_reset_whose_draw_fails_leaves_no_episode_to_step(monkeypatch):

@@ -10,6 +10,7 @@ stream.
 
 import re
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pvclean.weather import (MONTH_LENGTHS, VARIABLES, ModelFormatError, Monthly
                              default_model, generate_weather, load_model,
                              make_streams, month_of_day, save_model, stack_weather)
 
-from oracles import is_cheng, sample_one
+from oracles import is_cheng, sample_one, traced_peak
 
 # The physical clamp range of each variable in the bundled model.  Wind
 # speed is in km/h: its clamp equals 30 m/s.
@@ -416,6 +417,51 @@ def test_stack_weather_classifies_each_cheng_run_once(monkeypatch):
         expect, _ = per_day_weather(model, 365, entropy)
         for var in VARIABLES:
             assert stacked[var][r].tobytes() == expect[var].tobytes(), (r, var)
+
+
+@pytest.mark.parametrize("model", [default_model(), cheng_model()], ids=["default", "cheng"])
+@settings(max_examples=15, deadline=None)
+@given(entropies=st.lists(_ENTROPY, min_size=1, max_size=4), n_days=st.integers(0, 400),
+       start_month=st.integers(1, 12), humidity=st.booleans(),
+       block=st.sampled_from([1, 7, distributions._BLOCK]))
+def test_stack_weather_into_a_day_major_array_equals_the_stacked_dict(model, entropies, n_days,
+                                                                      start_month, humidity,
+                                                                      block):
+    """With ``out``, each variable is drawn straight into its column of the
+    (n_days, replications, variables) array, which then equals ``np.stack``
+    of the dict form bit for bit, with or without relative humidity and
+    whatever the ``ndtri`` block; the arrays returned are views of it."""
+    variables = VARIABLES if humidity else VARIABLES[:-1]
+    expect = stack_weather(model, n_days, entropies, start_month, variables)
+    out = np.empty((n_days, len(entropies), len(variables)))
+    with mock.patch.object(distributions, "_BLOCK", block):
+        arrays = stack_weather(model, n_days, entropies, start_month, variables, out)
+    assert out.tobytes() == np.stack([expect[var].T for var in variables], axis=-1).tobytes()
+    assert list(arrays) == list(variables)
+    for j, var in enumerate(variables):
+        assert arrays[var].shape == (len(entropies), n_days)
+        assert np.shares_memory(arrays[var], out[..., j]) or n_days == 0, var
+        assert arrays[var].tobytes() == expect[var].tobytes(), var
+
+
+def test_stack_weather_rejects_an_out_of_another_shape():
+    with pytest.raises(ValueError, match=r"out must have shape \(10, 2, 5\)"):
+        stack_weather(default_model(), 10, [0, 1], out=np.empty((10, 2, 4)))
+
+
+def test_each_variable_is_drawn_in_a_few_arrays():
+    """A variable's 30-replication, 5-year draw peaks below 3.5 of its
+    (replications, n_days) arrays, its own included: 2.4 to 2.5, and 3.0
+    for relative humidity, whose streams also hold their look-ahead past
+    its rejection-sampled months.  Mapping a copy of every normal day
+    through ``ndtri`` at once, as ``oracles.whole_normal_days`` does, took
+    7.5 to 8.0 for the variables with many normal days."""
+    model, reps, n_days = default_model(), 30, 5 * 365
+    stack_weather(model, 31, [0])  # the first draw's one-time set-up
+    for var in VARIABLES:
+        streams = [make_streams((0, 0, r)) for r in range(reps)]
+        arrays, peak = traced_peak(lambda: generate_weather(model, n_days, streams, 1, (var,)))
+        assert peak < 3.5 * arrays[var].nbytes, (var, peak / arrays[var].nbytes)
 
 
 def test_model_spec_is_distribution_spec():
